@@ -1,12 +1,19 @@
 #include "common.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+
+#include <malloc.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -21,6 +28,9 @@ void Outcome::check(bool ok, const std::string& what) {
 void Outcome::add(const std::string& name, double value,
                   const std::string& unit) {
   check(std::isfinite(value), "metric " + name + " is not finite");
+  check(std::none_of(metrics.begin(), metrics.end(),
+                     [&](const Metric& m) { return m.name == name; }),
+        "metric " + name + " reported twice");
   metrics.push_back({name, std::isfinite(value) ? value : 0.0, unit});
 }
 
@@ -50,20 +60,47 @@ double quantile(std::vector<double> v, double q) {
 
 double median(std::vector<double> v) { return quantile(std::move(v), 0.5); }
 
-double windowed_tail(const std::vector<double>& samples, std::size_t window,
-                     double q) {
-  if (samples.size() < window || window == 0) return quantile(samples, q);
-  std::vector<double> tails;
-  for (std::size_t i = 0; i + window <= samples.size(); i += window) {
-    tails.push_back(quantile(
-        std::vector<double>(samples.begin() + static_cast<long>(i),
-                            samples.begin() + static_cast<long>(i + window)),
-        q));
-  }
-  return median(std::move(tails));
+double now_s() { return geofm::monotonic_seconds(); }
+
+double steal_seconds() {
+  // First line: "cpu user nice system idle iowait irq softirq steal ...".
+  std::ifstream stat("/proc/stat");
+  std::string cpu;
+  double field[8] = {};
+  stat >> cpu;
+  for (double& f : field) stat >> f;
+  if (!stat || cpu != "cpu") return 0;
+  return field[7] / static_cast<double>(sysconf(_SC_CLK_TCK));
 }
 
-double now_s() { return geofm::monotonic_seconds(); }
+double StealMeter::share() const {
+  const double cpu_seconds =
+      (now_s() - t0_) *
+      static_cast<double>(std::max(1u, std::thread::hardware_concurrency()));
+  return cpu_seconds > 0 ? (steal_seconds() - steal0_) / cpu_seconds : 0.0;
+}
+
+std::vector<std::size_t> clean_samples(const std::vector<double>& steal) {
+  std::vector<std::size_t> order(steal.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return steal[a] < steal[b];
+  });
+  std::size_t clean = 0;
+  while (clean < order.size() && steal[order[clean]] <= kCleanSteal) ++clean;
+  const std::size_t floor = std::max<std::size_t>(1, (steal.size() + 3) / 4);
+  order.resize(std::min(order.size(), std::max(clean, floor)));
+  std::sort(order.begin(), order.end());
+  return order;
+}
+
+std::vector<double> pick(const std::vector<double>& v,
+                         const std::vector<std::size_t>& keep) {
+  std::vector<double> out;
+  for (const std::size_t i : keep) out.push_back(v[i]);
+  return out;
+}
 
 void warm_cpus(double seconds) {
   const unsigned n = std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
@@ -89,6 +126,11 @@ double peak_rss_mb() {
     }
   }
   return 0;
+}
+
+void reset_peak_rss() {
+  malloc_trim(0);
+  std::ofstream("/proc/self/clear_refs") << "5";
 }
 
 std::string fmt(double v, int digits) {
@@ -194,6 +236,35 @@ void add_tensor_metrics(Outcome& out, const KernelCounters& k,
           "ratio");
 }
 
+void add_idle_training_layers(Outcome& out) {
+  for (const char* name :
+       {"data.next_wait_ms", "models.forward_ms", "models.forward_p90_ms",
+        "models.backward_ms", "models.backward_p90_ms", "optim.step_ms",
+        "parallel.begin_step_ms", "parallel.end_backward_ms",
+        "comm.exposed_ms", "comm.busy_ms", "comm.loss_allreduce_ms",
+        "ckpt.drain_ms"}) {
+    out.add(name, 0, "ms");
+  }
+  for (const char* name :
+       {"parallel.peak_inflight_gathers", "parallel.collectives_per_step",
+        "comm.overlap_base", "train.recoveries", "train.replayed_steps"}) {
+    out.add(name, 0, "count");
+  }
+  out.add("parallel.bytes_per_step", 0, "B");
+  out.add("comm.overlap_ratio", 0, "ratio");
+}
+
+void add_idle_serve_layer(Outcome& out) {
+  out.add("serve.submit_us", 0, "us");
+  out.add("serve.mean_batch", 0, "count");
+  out.add("serve.cache_hit_ratio", 0, "ratio");
+  out.add("serve.cache_lookups", 0, "count");
+  out.add("serve.post_swap_misses", 0, "count");
+  out.add("serve.encodes_per_s", 0, "1/s");
+  out.add("serve.gen_late_ms", 0, "ms");
+  out.add("serve.overload_shed_share", 0, "ratio");
+}
+
 geofm::data::SceneDataset make_corpus(u64 seed, i64 n_images) {
   return geofm::data::SceneDataset("perfbench", /*n_classes=*/51, n_images,
                                    /*n_test=*/0, /*img_size=*/32,
@@ -209,6 +280,46 @@ std::size_t dir_bytes(const std::string& path) {
     if (it->is_regular_file(ec)) sum += it->file_size(ec);
   }
   return sum;
+}
+
+std::string run_self(const std::vector<std::string>& args) {
+  const std::string exe = std::filesystem::read_symlink("/proc/self/exe");
+  std::vector<std::string> storage{exe};
+  storage.insert(storage.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& a : storage) argv.push_back(a.data());
+  argv.push_back(nullptr);
+
+  int fds[2];
+  if (pipe(fds) != 0) throw std::runtime_error("pipe failed");
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_adddup2(&actions, fds[1], STDOUT_FILENO);
+  posix_spawn_file_actions_addclose(&actions, fds[0]);
+  posix_spawn_file_actions_addclose(&actions, fds[1]);
+  pid_t pid = 0;
+  const int rc = posix_spawn(&pid, exe.c_str(), &actions, nullptr,
+                             argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  close(fds[1]);
+  if (rc != 0) {
+    close(fds[0]);
+    throw std::runtime_error("cannot start " + exe);
+  }
+  std::string output;
+  char buf[4096];
+  for (ssize_t n; (n = read(fds[0], buf, sizeof buf)) != 0;) {
+    if (n > 0) output.append(buf, static_cast<std::size_t>(n));
+    else if (errno != EINTR) break;
+  }
+  close(fds[0]);
+  int status = 0;
+  while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    throw std::runtime_error("child run of " + exe + " failed");
+  }
+  return output;
 }
 
 }  // namespace perfbench

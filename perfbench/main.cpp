@@ -4,10 +4,13 @@
 //   geofm_perfbench --workload <name> --seed <n> --seconds <s>
 //                   --trace <0|1> --workdir <dir> [--references <file>]
 //                   [--plant wrong_embedding|loss_mismatch]
+//                   [--elastic-probe 1]
 //
 // Prints human-readable lines, then, as the last line, one JSON object
 // {"correct", "attempted", "failed", "metrics"}. Exits 0 only when every
-// correctness check passed.
+// correctness check passed. --elastic-probe 1 instead runs one elastic
+// run of pretrain_fsdp4 and prints its result line; the timed
+// pretrain_fsdp4 run starts the binary that way in child processes.
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -53,6 +56,7 @@ void load_references(const std::string& path, Args& args) {
 int main(int argc, char** argv) {
   Args args;
   std::string references;
+  bool elastic_probe = false;
   if (argc % 2 == 0) return usage("every option takes a value");
   for (int i = 1; i + 1 < argc; i += 2) {
     const std::string key = argv[i], value = argv[i + 1];
@@ -68,6 +72,8 @@ int main(int argc, char** argv) {
       args.workdir = value;
     } else if (key == "--references") {
       references = value;
+    } else if (key == "--elastic-probe") {
+      elastic_probe = value == "1";
     } else if (key == "--plant") {
       if (value == "wrong_embedding") {
         args.plant = Plant::kWrongEmbedding;
@@ -85,6 +91,10 @@ int main(int argc, char** argv) {
   try {
     if (!references.empty()) load_references(references, args);
     std::filesystem::create_directories(args.workdir);
+    if (elastic_probe) {
+      run_elastic_probe(args);
+      return 0;
+    }
     warm_cpus(kWarmSeconds);
     Outcome out;
     if (args.workload == "pretrain_1rank") {

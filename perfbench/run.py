@@ -9,13 +9,15 @@ Human-readable lines go to standard output, build output to standard
 error, and the last line of standard output is one JSON object with the
 keys correct, attempted, failed and metrics. With --trace 0 the metrics
 are every end_to_end metric of BENCHMARK.json, with --trace 1 every
-per_layer metric (0 where the layer does no work in that workload).
+per_layer metric (an explicit 0 where the layer does no work in that
+workload).
 Exits 0 only when the run passed every correctness check.
 """
 import argparse
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -55,8 +57,10 @@ def load_spec():
 
 
 def conform(result, spec, trace):
-    """Checks the binary's metrics against BENCHMARK.json; zero-fills
-    per-layer metrics of layers that do no work in this workload."""
+    """Checks the binary's metrics against BENCHMARK.json: every declared
+    metric of the mode present (layers that do no work in a workload report
+    an explicit 0), none undeclared, units as declared; puts them in the
+    declared order."""
     declared = spec["per_layer" if trace else "end_to_end"]
     units = {m["name"]: m["unit"] for m in declared}
     metrics = result["metrics"]
@@ -67,12 +71,9 @@ def conform(result, spec, trace):
             fail(f"metric {name} has unit {m['unit']}, declared {units[name]}")
     ordered = {}
     for name, unit in units.items():
-        if name in metrics:
-            ordered[name] = metrics[name]
-        elif trace:
-            ordered[name] = {"value": 0, "unit": unit}
-        else:
-            fail(f"end-to-end metric {name} missing from the run")
+        if name not in metrics:
+            fail(f"metric {name} missing from the run")
+        ordered[name] = metrics[name]
     result["metrics"] = ordered
     return result
 
@@ -101,12 +102,17 @@ def main():
            "--references", os.path.join(HERE, "references.txt")]
     if args.plant:
         cmd += ["--plant", args.plant]
+    # Its own session, so that a run cut by the timeout is stopped together
+    # with any child process it started.
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True,
+                            start_new_session=True)
     try:
-        proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                              timeout=RUN_TIMEOUT_S)
+        stdout, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
         fail(f"run exceeded {RUN_TIMEOUT_S} s")
-    lines = proc.stdout.rstrip("\n").split("\n")
+    lines = stdout.rstrip("\n").split("\n")
     for line in lines[:-1]:
         print(line)
     try:

@@ -6,8 +6,10 @@
 Run from the root of a checkout. Checks BENCHMARK.json against the
 benchmark contract and against perfbench/metrics.json; runs every workload
 briefly, timed and traced, with the default and the held-out seed, where
-every correctness check must pass; and runs with a planted wrong embedding
-and a planted loss mismatch, each of which must make the run fail.
+every correctness check must pass and the collective metrics must be 0 on
+pretrain_1rank and above 0 on pretrain_fsdp4; and runs with a planted
+wrong embedding and a planted loss mismatch, each of which must make the
+run fail.
 Exits 0 when everything holds.
 """
 import argparse
@@ -23,6 +25,12 @@ NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 UNIT = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
 PATH = re.compile(r"^[A-Za-z0-9_.\-/]{1,200}$")
 TRAINING = ("pretrain_1rank", "pretrain_fsdp4")
+# Layer metrics that must be 0 on pretrain_1rank (no collectives at world
+# 1) and above 0 on pretrain_fsdp4. comm.loss_allreduce_ms is left out:
+# on world 1 it times the call itself, a few microseconds.
+COLLECTIVE_METRICS = ("comm.exposed_ms", "comm.busy_ms", "comm.overlap_ratio",
+                      "comm.overlap_base", "parallel.collectives_per_step",
+                      "parallel.bytes_per_step")
 
 problems = []
 
@@ -107,6 +115,15 @@ def check_references(meta):
             expect((w, seed) in refs, f"reference loss for {w} seed {seed}")
 
 
+def check_collectives(workload, metrics, label):
+    for name in COLLECTIVE_METRICS:
+        value = metrics[name]["value"]
+        if workload == "pretrain_1rank":
+            expect(value == 0, f"{label}: {name} = {value}, expected 0")
+        elif workload == "pretrain_fsdp4":
+            expect(value > 0, f"{label}: {name} = {value}, expected > 0")
+
+
 def run(workload, seed, seconds, trace, plant=None):
     cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -146,6 +163,8 @@ def main():
                 if ok:
                     expect(list(result["metrics"]) == declared[trace],
                            f"{label}: metrics differ from BENCHMARK.json")
+                if ok and trace:
+                    check_collectives(w["name"], result["metrics"], label)
                 print(f"{label}: {'ok' if ok else 'FAILED'}", flush=True)
 
     planted = [("serve_hotswap", "wrong_embedding", 0),
