@@ -1,6 +1,7 @@
 // Interleaved scalar-vs-SIMD A/B microbenchmark of the kernel engine
 // (tensor/kernels/): GEMM variants, layernorm and softmax forward +
-// backward, the AdamW update, and patchify.
+// backward, the fused attention core and GELU at the proxy model's
+// shapes, the AdamW update, and patchify.
 //
 // Methodology: for each case the two modes alternate round-robin
 // (scalar, simd, scalar, simd, ...) so frequency drift, cache state, and
@@ -11,6 +12,7 @@
 //
 // GEOFM_BENCH_QUICK=1 shrinks sizes and rounds for smoke runs.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <limits>
@@ -146,6 +148,56 @@ int main() {
     results.push_back(ab_run("softmax_bwd", dims({rows, cols}),
                              4 * rows * cols, sreps, [&] {
                                ops::softmax_backward_lastdim(dy, y);
+                             }));
+  }
+
+  // --- fused attention + GELU at proxy_3b's shapes ------------------------
+  // B*H = 64*4 = 256 slices of head_dim 8: T = 5 is the encoder's visible
+  // tokens (16 patches at 75% masking + cls), T = 17 the decoder's full
+  // sequence. GELU runs on the MLP hidden [64*17, 128]; it has one
+  // implementation, so its speedup column reads ~1.
+  {
+    const i64 batch = 64, heads = 4, hd = 8, c = heads * hd;
+    const float scale = 1.f / std::sqrt(static_cast<float>(hd));
+    for (i64 t : {i64{5}, i64{17}}) {
+      const i64 slices = batch * heads, tt = t * t;
+      Tensor qkv = Tensor::randn({batch, t, 3 * c}, rng);
+      Tensor attn({slices, t, t});
+      Tensor ctx({batch, t, c});
+      Tensor dctx = Tensor::randn({batch, t, c}, rng);
+      Tensor dqkv({batch, t, 3 * c});
+      kernels::attention_fwd(batch, t, heads, hd, scale, qkv.data(),
+                             attn.data(), ctx.data());
+      const std::string shape = dims({slices, t, hd});
+      results.push_back(ab_run(
+          "attention_fwd", shape, slices * (4 * tt * hd + 6 * tt), reps * 8,
+          [&] {
+            kernels::attention_fwd(batch, t, heads, hd, scale, qkv.data(),
+                                   attn.data(), ctx.data());
+          }));
+      results.push_back(ab_run(
+          "attention_bwd", shape, slices * (8 * tt * hd + 5 * tt), reps * 8,
+          [&] {
+            kernels::attention_bwd(batch, t, heads, hd, scale, qkv.data(),
+                                   attn.data(), dctx.data(), dqkv.data());
+          }));
+    }
+    const i64 rows = batch * 17, hidden = 128, n = rows * hidden;
+    Tensor pre = Tensor::randn({rows, hidden}, rng);
+    Tensor x({rows, hidden});
+    Tensor y({rows, hidden});
+    Tensor dy = Tensor::randn({rows, hidden}, rng);
+    // gelu_fwd overwrites its input with the derivative: restore it per
+    // call (a copy is ~1% of the tanh pass).
+    results.push_back(ab_run("gelu_fwd", dims({rows, hidden}), 20 * n, reps,
+                             [&] {
+                               x.copy_(pre);
+                               kernels::gelu_fwd(n, x.data(), y.data());
+                             }));
+    results.push_back(ab_run("gelu_bwd", dims({rows, hidden}), n, reps * 8,
+                             [&] {
+                               kernels::gelu_bwd(n, dy.data(), x.data(),
+                                                 y.data());
                              }));
   }
 

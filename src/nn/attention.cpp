@@ -1,106 +1,10 @@
 #include "nn/attention.hpp"
 
-#include <algorithm>
 #include <cmath>
 
-#include "tensor/ops.hpp"
-#include "util/thread_pool.hpp"
+#include "tensor/kernels/kernels.hpp"
 
 namespace geofm::nn {
-namespace {
-
-// [B, T, 3C] fused QKV -> three [B*H, T, Dh] tensors. The 3C axis is laid
-// out as [which(3)][head][head_dim], matching torch's
-// qkv.reshape(B,T,3,H,Dh).permute(2,0,3,1,4).
-void split_qkv(const Tensor& qkv, i64 b, i64 t, i64 heads, i64 hd, Tensor& q,
-               Tensor& k, Tensor& v) {
-  const i64 c = heads * hd;
-  const float* src = qkv.data();
-  Tensor* outs[3] = {&q, &k, &v};
-  // Pure layout copy, 3c floats per item: grain so a chunk moves ~64 KB.
-  const i64 grain = std::max<i64>(1, 16384 / (3 * c));
-  parallel_for(b * t, [&](i64 i0, i64 i1) {
-    for (i64 bt = i0; bt < i1; ++bt) {
-      const i64 bi = bt / t, ti = bt % t;
-      const float* row = src + bt * 3 * c;
-      for (int which = 0; which < 3; ++which) {
-        float* dst = outs[which]->data();
-        for (i64 h = 0; h < heads; ++h) {
-          const float* s = row + which * c + h * hd;
-          float* d = dst + ((bi * heads + h) * t + ti) * hd;
-          for (i64 e = 0; e < hd; ++e) d[e] = s[e];
-        }
-      }
-    }
-  }, grain);
-}
-
-// Inverse layout transform for gradients: three [B*H, T, Dh] -> [B, T, 3C].
-Tensor merge_qkv_grads(const Tensor& dq, const Tensor& dk, const Tensor& dv,
-                       i64 b, i64 t, i64 heads, i64 hd) {
-  const i64 c = heads * hd;
-  Tensor out({b, t, 3 * c});
-  float* dst = out.data();
-  const Tensor* ins[3] = {&dq, &dk, &dv};
-  const i64 grain = std::max<i64>(1, 16384 / (3 * c));
-  parallel_for(b * t, [&](i64 i0, i64 i1) {
-    for (i64 bt = i0; bt < i1; ++bt) {
-      const i64 bi = bt / t, ti = bt % t;
-      float* row = dst + bt * 3 * c;
-      for (int which = 0; which < 3; ++which) {
-        const float* src = ins[which]->data();
-        for (i64 h = 0; h < heads; ++h) {
-          const float* s = src + ((bi * heads + h) * t + ti) * hd;
-          float* d = row + which * c + h * hd;
-          for (i64 e = 0; e < hd; ++e) d[e] = s[e];
-        }
-      }
-    }
-  }, grain);
-  return out;
-}
-
-// [B*H, T, Dh] -> [B, T, C] (concatenate heads).
-Tensor merge_heads(const Tensor& x, i64 b, i64 t, i64 heads, i64 hd) {
-  const i64 c = heads * hd;
-  Tensor out({b, t, c});
-  const float* src = x.data();
-  float* dst = out.data();
-  const i64 grain = std::max<i64>(1, 16384 / c);
-  parallel_for(b * t, [&](i64 i0, i64 i1) {
-    for (i64 bt = i0; bt < i1; ++bt) {
-      const i64 bi = bt / t, ti = bt % t;
-      float* row = dst + bt * c;
-      for (i64 h = 0; h < heads; ++h) {
-        const float* s = src + ((bi * heads + h) * t + ti) * hd;
-        for (i64 e = 0; e < hd; ++e) row[h * hd + e] = s[e];
-      }
-    }
-  }, grain);
-  return out;
-}
-
-// [B, T, C] -> [B*H, T, Dh] (split heads of a single tensor).
-Tensor split_heads(const Tensor& x, i64 b, i64 t, i64 heads, i64 hd) {
-  const i64 c = heads * hd;
-  Tensor out({b * heads, t, hd});
-  const float* src = x.data();
-  float* dst = out.data();
-  const i64 grain = std::max<i64>(1, 16384 / c);
-  parallel_for(b * t, [&](i64 i0, i64 i1) {
-    for (i64 bt = i0; bt < i1; ++bt) {
-      const i64 bi = bt / t, ti = bt % t;
-      const float* row = src + bt * c;
-      for (i64 h = 0; h < heads; ++h) {
-        float* d = dst + ((bi * heads + h) * t + ti) * hd;
-        for (i64 e = 0; e < hd; ++e) d[e] = row[h * hd + e];
-      }
-    }
-  }, grain);
-  return out;
-}
-
-}  // namespace
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::string name, i64 dim,
                                                i64 n_heads, Rng& rng)
@@ -117,44 +21,22 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::string name, i64 dim,
 Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
   GEOFM_CHECK(x.rank() == 3 && x.dim(2) == dim_,
               "attention expects [B,T," << dim_ << "], got " << x.shape_str());
-  cached_b_ = x.dim(0);
-  cached_t_ = x.dim(1);
-  const i64 b = cached_b_, t = cached_t_;
-
-  Tensor fused = qkv.forward(x);  // [B,T,3C]
-  q_ = Tensor({b * heads_, t, head_dim_});
-  k_ = Tensor({b * heads_, t, head_dim_});
-  v_ = Tensor({b * heads_, t, head_dim_});
-  split_qkv(fused, b, t, heads_, head_dim_, q_, k_, v_);
-
-  Tensor scores = ops::bmm_nt(q_, k_);  // [B*H, T, T]
-  scores.scale_(scale_);
-  attn_ = ops::softmax_lastdim(scores);
-
-  Tensor ctx = ops::bmm(attn_, v_);  // [B*H, T, Dh]
-  Tensor merged = merge_heads(ctx, b, t, heads_, head_dim_);
-  return proj.forward(merged);
+  const i64 b = x.dim(0), t = x.dim(1);
+  fused_ = qkv.forward(x);  // [B,T,3C]
+  attn_ = Tensor({b * heads_, t, t});
+  Tensor ctx({b, t, dim_});
+  kernels::attention_fwd(b, t, heads_, head_dim_, scale_, fused_.data(),
+                         attn_.data(), ctx.data());
+  return proj.forward(ctx);
 }
 
 Tensor MultiHeadSelfAttention::backward(const Tensor& dy) {
   GEOFM_CHECK(attn_.defined(), "attention backward before forward");
-  const i64 b = cached_b_, t = cached_t_;
-
-  Tensor dmerged = proj.backward(dy);
-  Tensor dctx = split_heads(dmerged, b, t, heads_, head_dim_);
-
-  // ctx = attn @ v
-  Tensor dattn = ops::bmm_nt(dctx, v_);       // [B*H, T, T]
-  Tensor dv = ops::bmm_tn(attn_, dctx);       // [B*H, T, Dh]
-
-  // attn = softmax(scale * q k^T)
-  Tensor dscores = ops::softmax_backward_lastdim(dattn, attn_);
-  dscores.scale_(scale_);
-
-  Tensor dq = ops::bmm(dscores, k_);          // [B*H, T, Dh]
-  Tensor dk = ops::bmm_tn(dscores, q_);       // scores^T rows: dk = ds^T q
-
-  Tensor dfused = merge_qkv_grads(dq, dk, dv, b, t, heads_, head_dim_);
+  const i64 b = fused_.dim(0), t = fused_.dim(1);
+  Tensor dctx = proj.backward(dy);  // [B,T,C]
+  Tensor dfused({b, t, 3 * dim_});
+  kernels::attention_bwd(b, t, heads_, head_dim_, scale_, fused_.data(),
+                         attn_.data(), dctx.data(), dfused.data());
   return qkv.backward(dfused);
 }
 

@@ -31,9 +31,8 @@ class MultiHeadSelfAttention : public Module {
   float scale_;
 
   // Forward cache (one in-flight activation set).
-  i64 cached_b_ = 0, cached_t_ = 0;
-  Tensor q_, k_, v_;  // each [B*H, T, Dh]
-  Tensor attn_;       // [B*H, T, T]
+  Tensor fused_;  // qkv output [B, T, 3C]; Q, K, V are read from it by stride
+  Tensor attn_;   // softmax probabilities [B*H, T, T]
 };
 
 }  // namespace geofm::nn

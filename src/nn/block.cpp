@@ -9,21 +9,24 @@ TransformerBlock::TransformerBlock(std::string name, i64 dim, i64 n_heads,
       ln2(name + ".ln2", dim),
       mlp(name + ".mlp", dim, mlp_dim, rng) {}
 
+// Residual adds accumulate into the freshly computed branch output: IEEE
+// addition commutes and add_'s alpha of 1 is exact, so branch + x is
+// bitwise x + branch without cloning x.
 Tensor TransformerBlock::forward(const Tensor& x) {
-  Tensor h = x.clone();
-  h.add_(attn.forward(ln1.forward(x)));
-  Tensor out = h.clone();
-  out.add_(mlp.forward(ln2.forward(h)));
+  Tensor h = attn.forward(ln1.forward(x));
+  h.add_(x);
+  Tensor out = mlp.forward(ln2.forward(h));
+  out.add_(h);
   return out;
 }
 
 Tensor TransformerBlock::backward(const Tensor& dy) {
   // out = h + mlp(ln2(h)); dh = dy + ln2.bwd(mlp.bwd(dy))
-  Tensor dh = dy.clone();
-  dh.add_(ln2.backward(mlp.backward(dy)));
+  Tensor dh = ln2.backward(mlp.backward(dy));
+  dh.add_(dy);
   // h = x + attn(ln1(x)); dx = dh + ln1.bwd(attn.bwd(dh))
-  Tensor dx = dh.clone();
-  dx.add_(ln1.backward(attn.backward(dh)));
+  Tensor dx = ln1.backward(attn.backward(dh));
+  dx.add_(dh);
   return dx;
 }
 

@@ -1,6 +1,6 @@
 #include "nn/mlp.hpp"
 
-#include "tensor/ops.hpp"
+#include "tensor/kernels/kernels.hpp"
 
 namespace geofm::nn {
 
@@ -9,15 +9,18 @@ Mlp::Mlp(std::string name, i64 dim, i64 hidden_dim, Rng& rng)
       fc2(name + ".fc2", hidden_dim, dim, rng) {}
 
 Tensor Mlp::forward(const Tensor& x) {
-  cached_pre_act_ = fc1.forward(x);
-  return fc2.forward(ops::gelu(cached_pre_act_));
+  cached_dgelu_ = fc1.forward(x);
+  Tensor h(cached_dgelu_.shape());
+  // Overwrites the pre-activation with dgelu/dx in place.
+  kernels::gelu_fwd(h.numel(), cached_dgelu_.data(), h.data());
+  return fc2.forward(h);
 }
 
 Tensor Mlp::backward(const Tensor& dy) {
-  GEOFM_CHECK(cached_pre_act_.defined(), "Mlp backward before forward");
+  GEOFM_CHECK(cached_dgelu_.defined(), "Mlp backward before forward");
   Tensor dh = fc2.backward(dy);
-  Tensor dpre = ops::gelu_backward(dh, cached_pre_act_);
-  return fc1.backward(dpre);
+  kernels::gelu_bwd(dh.numel(), dh.data(), cached_dgelu_.data(), dh.data());
+  return fc1.backward(dh);
 }
 
 std::vector<Parameter*> Mlp::parameters() {

@@ -19,7 +19,7 @@ class Mlp : public Module {
   Linear fc2;
 
  private:
-  Tensor cached_pre_act_;  // fc1 output, input of GELU
+  Tensor cached_dgelu_;  // dgelu/dx at the fc1 output (kernels::gelu_fwd)
 };
 
 }  // namespace geofm::nn

@@ -60,6 +60,33 @@ void scalar_unpatchify(i64 b, i64 c, i64 grid, i64 patch, const float* patches,
 void simd_unpatchify(i64 b, i64 c, i64 grid, i64 patch, const float* patches,
                      float* out);
 
+// ----- uninstrumented mode routing -------------------------------------------
+// kernels::gemm / softmax_fwd / softmax_bwd are these plus their span and
+// counters. Fused kernels call these per slice, inside their own span, so
+// no kernel second is counted twice.
+
+/// The active mode's GEMM, with tiny problems routed to the scalar oracle.
+void gemm(i64 batch, i64 m, i64 k, i64 n,
+          const float* a, i64 a_batch, i64 ars, i64 acs,
+          const float* b, i64 b_batch, i64 brs, i64 bcs,
+          float* c, i64 c_batch, i64 ldc);
+/// The active mode's softmax rows; y may alias x.
+void softmax_fwd(i64 rows, i64 cols, const float* x, float* y);
+/// The active mode's softmax backward rows; dx may alias dy.
+void softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
+                 float* dx);
+
+// ----- fused kernels (one implementation, built from the routines above) ----
+
+void attention_fwd(i64 batch, i64 t, i64 heads, i64 head_dim, float scale,
+                   const float* qkv, float* attn, float* ctx);
+void attention_bwd(i64 batch, i64 t, i64 heads, i64 head_dim, float scale,
+                   const float* qkv, const float* attn, const float* dctx,
+                   float* dqkv);
+
+void gelu_fwd(i64 n, float* x, float* y);
+void gelu_bwd(i64 n, const float* dy, const float* d, float* dx);
+
 /// Lane count baked into the simd_*.cpp translation units (they may be
 /// compiled for a wider ISA than the rest of the library).
 int simd_lanes_impl();

@@ -76,6 +76,43 @@ bool use_simd() { return active_mode() == Mode::kSimd; }
 
 }  // namespace
 
+namespace detail {
+
+void gemm(i64 batch, i64 m, i64 k, i64 n,
+          const float* a, i64 a_batch, i64 ars, i64 acs,
+          const float* b, i64 b_batch, i64 brs, i64 bcs,
+          float* c, i64 c_batch, i64 ldc) {
+  // Tiny problems can't amortize packing: the blocked path starts paying
+  // off once the per-slice work clears a few microkernel tiles.
+  const bool tiny = m * k * n < 4096 || n < simd_lanes_impl();
+  if (use_simd() && !tiny) {
+    simd_gemm(batch, m, k, n, a, a_batch, ars, acs, b, b_batch, brs, bcs, c,
+              c_batch, ldc);
+  } else {
+    scalar_gemm(batch, m, k, n, a, a_batch, ars, acs, b, b_batch, brs, bcs,
+                c, c_batch, ldc);
+  }
+}
+
+void softmax_fwd(i64 rows, i64 cols, const float* x, float* y) {
+  if (use_simd()) {
+    simd_softmax_fwd(rows, cols, x, y);
+  } else {
+    scalar_softmax_fwd(rows, cols, x, y);
+  }
+}
+
+void softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
+                 float* dx) {
+  if (use_simd()) {
+    simd_softmax_bwd(rows, cols, dy, y, dx);
+  } else {
+    scalar_softmax_bwd(rows, cols, dy, y, dx);
+  }
+}
+
+}  // namespace detail
+
 int simd_lanes() { return detail::simd_lanes_impl(); }
 
 void gemm(i64 batch, i64 m, i64 k, i64 n,
@@ -86,16 +123,8 @@ void gemm(i64 batch, i64 m, i64 k, i64 n,
   const i64 flops = 2 * batch * m * k * n;
   const i64 bytes = 4 * batch * (m * k + k * n + m * n);
   KernelScope scope("kernel.gemm", fam, flops, bytes);
-  // Tiny problems can't amortize packing: the blocked path starts paying
-  // off once the per-slice work clears a few microkernel tiles.
-  const bool tiny = m * k * n < 4096 || n < detail::simd_lanes_impl();
-  if (use_simd() && !tiny) {
-    detail::simd_gemm(batch, m, k, n, a, a_batch, ars, acs, b, b_batch, brs,
-                      bcs, c, c_batch, ldc);
-  } else {
-    detail::scalar_gemm(batch, m, k, n, a, a_batch, ars, acs, b, b_batch, brs,
-                        bcs, c, c_batch, ldc);
-  }
+  detail::gemm(batch, m, k, n, a, a_batch, ars, acs, b, b_batch, brs, bcs, c,
+               c_batch, ldc);
 }
 
 void gemm_nn(i64 batch, i64 m, i64 k, i64 n, const float* a, const float* b,
@@ -152,11 +181,7 @@ void softmax_fwd(i64 rows, i64 cols, const float* x, float* y) {
   const i64 flops = 5 * rows * cols;
   const i64 bytes = 4 * 2 * rows * cols;
   KernelScope scope("kernel.softmax", fam, flops, bytes);
-  if (use_simd()) {
-    detail::simd_softmax_fwd(rows, cols, x, y);
-  } else {
-    detail::scalar_softmax_fwd(rows, cols, x, y);
-  }
+  detail::softmax_fwd(rows, cols, x, y);
 }
 
 void softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
@@ -165,11 +190,44 @@ void softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
   const i64 flops = 4 * rows * cols;
   const i64 bytes = 4 * 3 * rows * cols;
   KernelScope scope("kernel.softmax_bwd", fam, flops, bytes);
-  if (use_simd()) {
-    detail::simd_softmax_bwd(rows, cols, dy, y, dx);
-  } else {
-    detail::scalar_softmax_bwd(rows, cols, dy, y, dx);
-  }
+  detail::softmax_bwd(rows, cols, dy, y, dx);
+}
+
+void attention_fwd(i64 batch, i64 t, i64 heads, i64 head_dim, float scale,
+                   const float* qkv, float* attn, float* ctx) {
+  static FamilyCounters fam("attention");
+  const i64 slices = batch * heads, c = heads * head_dim;
+  // Per slice: QK^T and attn*V (2*t*t*hd each), scale, softmax.
+  const i64 flops = slices * (4 * t * t * head_dim + 6 * t * t);
+  const i64 bytes = 4 * (4 * batch * t * c + slices * t * t);
+  KernelScope scope("kernel.attention", fam, flops, bytes);
+  detail::attention_fwd(batch, t, heads, head_dim, scale, qkv, attn, ctx);
+}
+
+void attention_bwd(i64 batch, i64 t, i64 heads, i64 head_dim, float scale,
+                   const float* qkv, const float* attn, const float* dctx,
+                   float* dqkv) {
+  static FamilyCounters fam("attention_bwd");
+  const i64 slices = batch * heads, c = heads * head_dim;
+  // Per slice: four GEMMs (2*t*t*hd each), softmax backward, scale.
+  const i64 flops = slices * (8 * t * t * head_dim + 5 * t * t);
+  const i64 bytes = 4 * (7 * batch * t * c + slices * t * t);
+  KernelScope scope("kernel.attention_bwd", fam, flops, bytes);
+  detail::attention_bwd(batch, t, heads, head_dim, scale, qkv, attn, dctx,
+                        dqkv);
+}
+
+void gelu_fwd(i64 n, float* x, float* y) {
+  static FamilyCounters fam("gelu");
+  // Transcendentals count one flop: the cubic, tanh, output, derivative.
+  KernelScope scope("kernel.gelu", fam, /*flops=*/20 * n, 4 * 3 * n);
+  detail::gelu_fwd(n, x, y);
+}
+
+void gelu_bwd(i64 n, const float* dy, const float* d, float* dx) {
+  static FamilyCounters fam("gelu_bwd");
+  KernelScope scope("kernel.gelu_bwd", fam, /*flops=*/n, 4 * 3 * n);
+  detail::gelu_bwd(n, dy, d, dx);
 }
 
 void adamw_update(i64 n, float* w, const float* g, float* m, float* v,

@@ -7,8 +7,8 @@
 //  * All matrices are fp32. C outputs are row-major; GEMM transposition is
 //    expressed through element strides, so one entry point serves NN/NT/TN
 //    and arbitrary (lda/ldb) padded sub-views.
-//  * `batch` amortizes dispatch + instrumentation over e.g. the per-head
-//    attention GEMMs: one kernel.* span covers the whole batch.
+//  * `batch` amortizes dispatch + instrumentation over many same-shape
+//    GEMMs: one kernel.* span covers the whole batch.
 //  * Every call emits a `kernel.<family>` trace span (category "kernel",
 //    args flops/bytes) and bumps kernel.<family>.{calls,flops,bytes,
 //    seconds} metrics.
@@ -32,7 +32,7 @@ void gemm(i64 batch, i64 m, i64 k, i64 n,
           float* c, i64 c_batch, i64 ldc);
 
 /// Contiguous convenience wrappers over gemm(), physical shapes as in
-/// ops::matmul / ops::bmm:
+/// ops::matmul, batch slices back to back:
 ///   nn: A[m,k] * B[k,n]          -> C[m,n]
 ///   nt: A[m,k] * B[n,k]^T        -> C[m,n]
 ///   tn: A[m,k]^T * B[m,n]        -> C[k,n]
@@ -63,6 +63,35 @@ void softmax_fwd(i64 rows, i64 cols, const float* x, float* y);
 /// dx = y * (dy - sum(dy*y)) per row.
 void softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
                  float* dx);
+
+// ----- fused transformer-block kernels ----------------------------------------
+
+/// Scaled dot-product attention core over all batch x head slices in one
+/// parallel region. qkv is the fused projection [B, T, 3C], its 3C axis
+/// laid out [which(3)][head][head_dim] (torch's
+/// qkv.reshape(B,T,3,H,Dh)); Q, K and V are read in place by stride.
+/// Per slice: attn = softmax(scale * Q K^T) into attn [B*H, T, T] (kept
+/// for the backward), then attn V straight into its head's columns of
+/// ctx [B, T, C]. Same per-slice GEMM and softmax routines as
+/// kernels::gemm / softmax_fwd, so results are bitwise equal to that
+/// composition.
+void attention_fwd(i64 batch, i64 t, i64 heads, i64 head_dim, float scale,
+                   const float* qkv, float* attn, float* ctx);
+
+/// Backward of attention_fwd: dctx [B, T, C] -> dqkv [B, T, 3C] (every
+/// element written), from the forward's qkv and attn.
+void attention_bwd(i64 batch, i64 t, i64 heads, i64 head_dim, float scale,
+                   const float* qkv, const float* attn, const float* dctx,
+                   float* dqkv);
+
+/// GELU (tanh approximation) over n elements: y = gelu(x), and x is
+/// overwritten with dgelu/dx, so the backward needs neither x nor a second
+/// tanh.
+void gelu_fwd(i64 n, float* x, float* y);
+
+/// dx = dy * d, with d the derivative gelu_fwd left behind; dx may alias
+/// dy.
+void gelu_bwd(i64 n, const float* dy, const float* d, float* dx);
 
 // ----- optimizer -------------------------------------------------------------
 

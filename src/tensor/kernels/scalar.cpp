@@ -234,6 +234,34 @@ void scalar_softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
   });
 }
 
+// ----- GELU ------------------------------------------------------------------
+// No SIMD twin: a vectorized tanh would move the loss trajectory, so both
+// dispatch modes run these loops (compiled with the project-default flags,
+// i.e. without FMA contraction, like the rest of the seed numerics).
+
+namespace {
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+}  // namespace
+
+void gelu_fwd(i64 n, float* x, float* y) {
+  parallel_for(n, [&](i64 i0, i64 i1) {
+    for (i64 i = i0; i < i1; ++i) {
+      const float v = x[i];
+      const float t = std::tanh(kGeluC * (v + kGeluA * v * v * v));
+      y[i] = 0.5f * v * (1.f + t);
+      const float dudv = kGeluC * (1.f + 3.f * kGeluA * v * v);
+      x[i] = 0.5f * (1.f + t) + 0.5f * v * (1.f - t * t) * dudv;
+    }
+  });
+}
+
+void gelu_bwd(i64 n, const float* dy, const float* d, float* dx) {
+  parallel_for(n, [&](i64 i0, i64 i1) {
+    for (i64 i = i0; i < i1; ++i) dx[i] = dy[i] * d[i];
+  }, row_grain(1));
+}
+
 // ----- AdamW -----------------------------------------------------------------
 
 void scalar_adamw(i64 n, float* w, const float* g, float* m, float* v,

@@ -7,9 +7,10 @@
 #include "tensor/kernels/kernels.hpp"
 #include "util/thread_pool.hpp"
 
-// The hot kernels (GEMM, layernorm, softmax, patchify) live in
-// tensor/kernels/ behind the GEOFM_KERNELS dispatch seam; this file keeps
-// the Tensor-level shape handling plus the cheap ops that don't warrant a
+// The hot kernels (GEMM, layernorm, softmax, patchify, and the attention
+// and GELU kernels the nn layers call directly) live in tensor/kernels/
+// behind the GEOFM_KERNELS dispatch seam; this file keeps the
+// Tensor-level shape handling plus the cheap ops that don't warrant a
 // kernel entry.
 
 namespace geofm::ops {
@@ -59,36 +60,6 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor bmm(const Tensor& a, const Tensor& b) {
-  GEOFM_CHECK(a.rank() == 3 && b.rank() == 3 && a.dim(0) == b.dim(0) &&
-              a.dim(2) == b.dim(1),
-              "bmm shapes: " << a.shape_str() << " x " << b.shape_str());
-  const i64 batch = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(2);
-  Tensor c({batch, m, n});
-  kernels::gemm_nn(batch, m, k, n, a.data(), b.data(), c.data());
-  return c;
-}
-
-Tensor bmm_nt(const Tensor& a, const Tensor& b) {
-  GEOFM_CHECK(a.rank() == 3 && b.rank() == 3 && a.dim(0) == b.dim(0) &&
-              a.dim(2) == b.dim(2),
-              "bmm_nt shapes: " << a.shape_str() << " x " << b.shape_str());
-  const i64 batch = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(1);
-  Tensor c({batch, m, n});
-  kernels::gemm_nt(batch, m, k, n, a.data(), b.data(), c.data());
-  return c;
-}
-
-Tensor bmm_tn(const Tensor& a, const Tensor& b) {
-  GEOFM_CHECK(a.rank() == 3 && b.rank() == 3 && a.dim(0) == b.dim(0) &&
-              a.dim(1) == b.dim(1),
-              "bmm_tn shapes: " << a.shape_str() << " x " << b.shape_str());
-  const i64 batch = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(2);
-  Tensor c({batch, k, n});
-  kernels::gemm_tn(batch, m, k, n, a.data(), b.data(), c.data());
-  return c;
-}
-
 Tensor add(const Tensor& a, const Tensor& b) {
   GEOFM_CHECK(a.shape() == b.shape(), "add shape mismatch");
   Tensor out = a.clone();
@@ -118,44 +89,6 @@ void accumulate_bias_grad(const Tensor& grad, Tensor& grad_bias) {
     const float* row = gp + r * d.cols;
     for (i64 c = 0; c < d.cols; ++c) bp[c] += row[c];
   }
-}
-
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-}  // namespace
-
-Tensor gelu(const Tensor& x) {
-  Tensor y(x.shape());
-  const float* xp = x.data();
-  float* yp = y.data();
-  parallel_for(x.numel(), [&](i64 i0, i64 i1) {
-    for (i64 i = i0; i < i1; ++i) {
-      const float v = xp[i];
-      const float t = std::tanh(kGeluC * (v + kGeluA * v * v * v));
-      yp[i] = 0.5f * v * (1.f + t);
-    }
-  });
-  return y;
-}
-
-Tensor gelu_backward(const Tensor& dy, const Tensor& x) {
-  GEOFM_CHECK(dy.numel() == x.numel());
-  Tensor dx(x.shape());
-  const float* dyp = dy.data();
-  const float* xp = x.data();
-  float* dxp = dx.data();
-  parallel_for(x.numel(), [&](i64 i0, i64 i1) {
-    for (i64 i = i0; i < i1; ++i) {
-      const float v = xp[i];
-      const float u = kGeluC * (v + kGeluA * v * v * v);
-      const float t = std::tanh(u);
-      const float dudv = kGeluC * (1.f + 3.f * kGeluA * v * v);
-      const float dgelu = 0.5f * (1.f + t) + 0.5f * v * (1.f - t * t) * dudv;
-      dxp[i] = dyp[i] * dgelu;
-    }
-  });
-  return dx;
 }
 
 Tensor softmax_lastdim(const Tensor& x) {

@@ -20,13 +20,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// C[k,n] = A[m,k]^T * B[m,n].
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
-/// Batched C[i] = A[i] * B[i] for i in [0, batch): A[batch,m,k], B[batch,k,n].
-Tensor bmm(const Tensor& a, const Tensor& b);
-/// Batched C[i] = A[i] * B[i]^T: A[batch,m,k], B[batch,n,k].
-Tensor bmm_nt(const Tensor& a, const Tensor& b);
-/// Batched C[i] = A[i]^T * B[i]: A[batch,m,k], B[batch,m,n] -> [batch,k,n].
-Tensor bmm_tn(const Tensor& a, const Tensor& b);
-
 // ----- elementwise / broadcast ----------------------------------------------
 
 /// out = a + b (same shape).
@@ -35,11 +28,6 @@ Tensor add(const Tensor& a, const Tensor& b);
 void add_bias_rows(Tensor& x, const Tensor& bias);
 /// grad_bias[c] += sum_r grad[r, c].
 void accumulate_bias_grad(const Tensor& grad, Tensor& grad_bias);
-
-/// GELU (tanh approximation), elementwise.
-Tensor gelu(const Tensor& x);
-/// dL/dx given dL/dy and the forward input.
-Tensor gelu_backward(const Tensor& dy, const Tensor& x);
 
 // ----- softmax ---------------------------------------------------------------
 

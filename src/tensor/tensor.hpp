@@ -24,7 +24,7 @@ class Tensor {
   /// Empty (numel 0, rank 0) tensor.
   Tensor() = default;
 
-  /// Uninitialized tensor of the given shape.
+  /// Zero-filled tensor of the given shape.
   explicit Tensor(std::vector<i64> shape);
   Tensor(std::initializer_list<i64> shape)
       : Tensor(std::vector<i64>(shape)) {}

@@ -307,6 +307,213 @@ TEST(KernelParity, SoftmaxBackwardTailShapes) {
   }
 }
 
+// ----- fused attention and GELU ----------------------------------------------
+// The fused kernels must be bitwise equal (memcmp) to the composition the
+// nn layers ran before them, in both dispatch modes. The oracle below is
+// that composition written out: head split/merge copies around batched
+// kernels::gemm_nn/nt/tn, softmax rows and the scale step.
+
+struct AttnShape {
+  i64 batch, t, heads, hd;
+};
+
+// T straddles the lane count and the tiny-GEMM rule; head_dim 8 is the
+// proxy models', 24 a non-power-of-two.
+std::vector<AttnShape> attention_shapes() {
+  std::vector<AttnShape> out;
+  for (i64 batch : {i64{1}, i64{3}, i64{16}}) {
+    for (i64 heads : {i64{1}, i64{4}}) {
+      for (i64 t : {i64{1}, i64{5}, i64{16}, i64{17}, i64{33}}) {
+        for (i64 hd : {i64{8}, i64{16}, i64{24}}) {
+          out.push_back({batch, t, heads, hd});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// [B, T, 3C] (which-major) -> [B*H, T, Dh] for which in {0,1,2}.
+std::vector<float> split_qkv(const std::vector<float>& qkv,
+                             const AttnShape& s, int which) {
+  const i64 c = s.heads * s.hd;
+  std::vector<float> out(static_cast<size_t>(s.batch * s.t * c));
+  for (i64 b = 0; b < s.batch; ++b) {
+    for (i64 t = 0; t < s.t; ++t) {
+      for (i64 h = 0; h < s.heads; ++h) {
+        for (i64 e = 0; e < s.hd; ++e) {
+          out[static_cast<size_t>(((b * s.heads + h) * s.t + t) * s.hd + e)] =
+              qkv[static_cast<size_t>((b * s.t + t) * 3 * c + which * c +
+                                      h * s.hd + e)];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// [B*H, T, Dh] <-> [B, T, C] at column offset `col` of rows `width` wide.
+void heads_to_rows(const std::vector<float>& heads, const AttnShape& s,
+                   i64 width, i64 col, std::vector<float>& rows) {
+  for (i64 b = 0; b < s.batch; ++b) {
+    for (i64 t = 0; t < s.t; ++t) {
+      for (i64 h = 0; h < s.heads; ++h) {
+        for (i64 e = 0; e < s.hd; ++e) {
+          rows[static_cast<size_t>((b * s.t + t) * width + col + h * s.hd +
+                                   e)] =
+              heads[static_cast<size_t>(((b * s.heads + h) * s.t + t) * s.hd +
+                                        e)];
+        }
+      }
+    }
+  }
+}
+
+std::vector<float> rows_to_heads(const std::vector<float>& rows,
+                                 const AttnShape& s) {
+  const i64 c = s.heads * s.hd;
+  std::vector<float> out(rows.size());
+  for (i64 b = 0; b < s.batch; ++b) {
+    for (i64 t = 0; t < s.t; ++t) {
+      for (i64 h = 0; h < s.heads; ++h) {
+        for (i64 e = 0; e < s.hd; ++e) {
+          out[static_cast<size_t>(((b * s.heads + h) * s.t + t) * s.hd + e)] =
+              rows[static_cast<size_t>((b * s.t + t) * c + h * s.hd + e)];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+void scale_all(std::vector<float>& x, float scale) {
+  for (float& v : x) v *= scale;
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+float attention_scale(const AttnShape& s) {
+  return 1.f / std::sqrt(static_cast<float>(s.hd));
+}
+
+TEST(KernelParity, AttentionForwardMatchesComposition) {
+  for (Mode mode : {Mode::kScalar, Mode::kSimd}) {
+    ModeGuard guard(mode);
+    for (const AttnShape& s : attention_shapes()) {
+      SCOPED_TRACE(::testing::Message()
+                   << mode_name(mode) << " B=" << s.batch << " T=" << s.t
+                   << " H=" << s.heads << " Dh=" << s.hd);
+      const i64 bh = s.batch * s.heads, c = s.heads * s.hd;
+      const float scale = attention_scale(s);
+      Rng rng(static_cast<u64>(bh * 7919 + s.t * 131 + s.hd));
+      const auto qkv = randv(s.batch * s.t * 3 * c, rng);
+
+      const auto q = split_qkv(qkv, s, 0);
+      const auto k = split_qkv(qkv, s, 1);
+      const auto v = split_qkv(qkv, s, 2);
+      std::vector<float> scores(static_cast<size_t>(bh * s.t * s.t));
+      std::vector<float> want_attn(scores.size());
+      gemm_nt(bh, s.t, s.hd, s.t, q.data(), k.data(), scores.data());
+      scale_all(scores, scale);
+      softmax_fwd(bh * s.t, s.t, scores.data(), want_attn.data());
+      std::vector<float> ctx_heads(q.size());
+      gemm_nn(bh, s.t, s.t, s.hd, want_attn.data(), v.data(),
+              ctx_heads.data());
+      std::vector<float> want_ctx(q.size());
+      heads_to_rows(ctx_heads, s, c, 0, want_ctx);
+
+      std::vector<float> attn(want_attn.size(), -1.f);
+      std::vector<float> ctx(want_ctx.size(), -1.f);
+      attention_fwd(s.batch, s.t, s.heads, s.hd, scale, qkv.data(),
+                    attn.data(), ctx.data());
+      EXPECT_TRUE(bitwise_equal(attn, want_attn)) << "attn";
+      EXPECT_TRUE(bitwise_equal(ctx, want_ctx)) << "ctx";
+    }
+  }
+}
+
+TEST(KernelParity, AttentionBackwardMatchesComposition) {
+  for (Mode mode : {Mode::kScalar, Mode::kSimd}) {
+    ModeGuard guard(mode);
+    for (const AttnShape& s : attention_shapes()) {
+      SCOPED_TRACE(::testing::Message()
+                   << mode_name(mode) << " B=" << s.batch << " T=" << s.t
+                   << " H=" << s.heads << " Dh=" << s.hd);
+      const i64 bh = s.batch * s.heads, c = s.heads * s.hd;
+      const float scale = attention_scale(s);
+      Rng rng(static_cast<u64>(bh * 104729 + s.t * 17 + s.hd));
+      const auto qkv = randv(s.batch * s.t * 3 * c, rng);
+      const auto dctx = randv(s.batch * s.t * c, rng);
+      std::vector<float> attn(static_cast<size_t>(bh * s.t * s.t));
+      std::vector<float> ctx(dctx.size());
+      attention_fwd(s.batch, s.t, s.heads, s.hd, scale, qkv.data(),
+                    attn.data(), ctx.data());
+
+      const auto q = split_qkv(qkv, s, 0);
+      const auto k = split_qkv(qkv, s, 1);
+      const auto v = split_qkv(qkv, s, 2);
+      const auto dctx_heads = rows_to_heads(dctx, s);
+      std::vector<float> dattn(attn.size()), dscores(attn.size());
+      std::vector<float> dq(q.size()), dk(q.size()), dv(q.size());
+      gemm_nt(bh, s.t, s.hd, s.t, dctx_heads.data(), v.data(), dattn.data());
+      gemm_tn(bh, s.t, s.t, s.hd, attn.data(), dctx_heads.data(), dv.data());
+      softmax_bwd(bh * s.t, s.t, dattn.data(), attn.data(), dscores.data());
+      scale_all(dscores, scale);
+      gemm_nn(bh, s.t, s.t, s.hd, dscores.data(), k.data(), dq.data());
+      gemm_tn(bh, s.t, s.t, s.hd, dscores.data(), q.data(), dk.data());
+      std::vector<float> want(qkv.size());
+      heads_to_rows(dq, s, 3 * c, 0, want);
+      heads_to_rows(dk, s, 3 * c, c, want);
+      heads_to_rows(dv, s, 3 * c, 2 * c, want);
+
+      std::vector<float> dqkv(qkv.size(), -1.f);
+      attention_bwd(s.batch, s.t, s.heads, s.hd, scale, qkv.data(),
+                    attn.data(), dctx.data(), dqkv.data());
+      EXPECT_TRUE(bitwise_equal(dqkv, want)) << "dqkv";
+    }
+  }
+}
+
+TEST(KernelParity, GeluSinglePassMatchesTwoPass) {
+  // The two-pass GELU the MLP ran before the fused kernel: forward from
+  // x, backward recomputing tanh from x.
+  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
+  constexpr float kA = 0.044715f;
+  for (Mode mode : {Mode::kScalar, Mode::kSimd}) {
+    ModeGuard guard(mode);
+    for (i64 n : {i64{1}, i64{17}, i64{1000}, i64{40000}}) {
+      SCOPED_TRACE(::testing::Message() << mode_name(mode) << " n=" << n);
+      Rng rng(static_cast<u64>(n));
+      auto x = randv(n, rng, 3.f);
+      x[0] = 0.f;
+      const auto dy = randv(n, rng);
+      std::vector<float> want_y(x.size()), want_dx(x.size());
+      for (size_t i = 0; i < x.size(); ++i) {
+        const float v = x[i];
+        const float t = std::tanh(kC * (v + kA * v * v * v));
+        want_y[i] = 0.5f * v * (1.f + t);
+      }
+      for (size_t i = 0; i < x.size(); ++i) {
+        const float v = x[i];
+        const float u = kC * (v + kA * v * v * v);
+        const float t = std::tanh(u);
+        const float dudv = kC * (1.f + 3.f * kA * v * v);
+        const float dgelu = 0.5f * (1.f + t) + 0.5f * v * (1.f - t * t) * dudv;
+        want_dx[i] = dy[i] * dgelu;
+      }
+
+      std::vector<float> d = x, y(x.size()), dx(x.size());
+      gelu_fwd(n, d.data(), y.data());
+      gelu_bwd(n, dy.data(), d.data(), dx.data());
+      EXPECT_TRUE(bitwise_equal(y, want_y)) << "y";
+      EXPECT_TRUE(bitwise_equal(dx, want_dx)) << "dx";
+    }
+  }
+}
+
 // ----- AdamW -----------------------------------------------------------------
 
 TEST(KernelParity, AdamWMultiStepTrajectoriesAgree) {

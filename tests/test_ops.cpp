@@ -1,9 +1,11 @@
-// Tests for tensor/ops: GEMM variants against naive references, softmax,
-// layernorm, losses, patchify round trips.
+// Tests for tensor/ops: GEMM variants (and the batched kernels::gemm_*
+// wrappers) against naive references, softmax, GELU, layernorm, losses,
+// patchify round trips.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "tensor/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace geofm {
@@ -64,7 +66,8 @@ TEST(Ops, BmmAgainstPerSliceMatmul) {
   Rng rng(5);
   Tensor a = Tensor::randn({3, 4, 5}, rng);
   Tensor b = Tensor::randn({3, 5, 6}, rng);
-  Tensor c = ops::bmm(a, b);
+  Tensor c({3, 4, 6});
+  kernels::gemm_nn(3, 4, 5, 6, a.data(), b.data(), c.data());
   for (i64 i = 0; i < 3; ++i) {
     Tensor ai({4, 5}), bi({5, 6});
     ai.copy_(a.flat_view(i * 20, 20));
@@ -80,7 +83,8 @@ TEST(Ops, BmmNtAndTnAgainstTransposes) {
   Rng rng(6);
   Tensor a = Tensor::randn({2, 3, 4}, rng);
   Tensor b = Tensor::randn({2, 5, 4}, rng);  // for nt: [batch, n, k]
-  Tensor c_nt = ops::bmm_nt(a, b);           // [2,3,5]
+  Tensor c_nt({2, 3, 5});
+  kernels::gemm_nt(2, 3, 4, 5, a.data(), b.data(), c_nt.data());
   for (i64 i = 0; i < 2; ++i) {
     Tensor ai({3, 4}), bi({5, 4});
     ai.copy_(a.flat_view(i * 12, 12));
@@ -92,7 +96,8 @@ TEST(Ops, BmmNtAndTnAgainstTransposes) {
   }
 
   Tensor d = Tensor::randn({2, 3, 6}, rng);  // for tn: [batch, m, n]
-  Tensor c_tn = ops::bmm_tn(a, d);           // [2,4,6]
+  Tensor c_tn({2, 4, 6});                    // A^T D per slice
+  kernels::gemm_tn(2, 3, 4, 6, a.data(), d.data(), c_tn.data());
   for (i64 i = 0; i < 2; ++i) {
     Tensor ai({3, 4}), di({3, 6});
     ai.copy_(a.flat_view(i * 12, 12));
@@ -131,10 +136,15 @@ TEST(Ops, SoftmaxStableUnderLargeLogits) {
 
 TEST(Ops, GeluKnownValues) {
   Tensor x = Tensor::from({0.f, 100.f, -100.f});
-  Tensor y = ops::gelu(x);
+  Tensor y(x.shape());
+  kernels::gelu_fwd(3, x.data(), y.data());
   EXPECT_NEAR(y[0], 0.f, 1e-6);
   EXPECT_NEAR(y[1], 100.f, 1e-3);
   EXPECT_NEAR(y[2], 0.f, 1e-3);
+  // x now holds dgelu/dx: 1/2 at 0, ~1 and ~0 far out.
+  EXPECT_NEAR(x[0], 0.5f, 1e-6);
+  EXPECT_NEAR(x[1], 1.f, 1e-3);
+  EXPECT_NEAR(x[2], 0.f, 1e-3);
 }
 
 TEST(Ops, LayerNormRowsNormalized) {
