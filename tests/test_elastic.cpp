@@ -232,6 +232,11 @@ struct MatrixCase {
   ShardingStrategy strategy;
 };
 
+// Without this, gtest prints the case as raw bytes, which include the
+// `label` pointer: the listed test names then change with every process's
+// address-space layout.
+void PrintTo(const MatrixCase& c, std::ostream* os) { *os << c.label; }
+
 class ElasticFaultMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(ElasticFaultMatrix, RunsToCompletion) {
