@@ -1,7 +1,7 @@
 // Interleaved scalar-vs-SIMD A/B microbenchmark of the kernel engine
 // (tensor/kernels/): GEMM variants, layernorm and softmax forward +
 // backward, the fused attention core and GELU at the proxy model's
-// shapes, the AdamW update, and patchify.
+// shapes, and the AdamW update.
 //
 // Methodology: for each case the two modes alternate round-robin
 // (scalar, simd, scalar, simd, ...) so frequency drift, cache state, and
@@ -216,13 +216,6 @@ int main() {
     results.push_back(ab_run("adamw", dims({n}), 12 * n, reps, [&] {
       kernels::adamw_update(n, w.data(), g.data(), m.data(), v.data(), cfg);
     }));
-  }
-
-  // --- patchify ------------------------------------------------------------
-  {
-    Tensor img = Tensor::randn({16, 3, 96, 96}, rng);
-    results.push_back(ab_run("patchify", "16x3x96x96/p8", 0, reps,
-                             [&] { ops::patchify(img, 8); }));
   }
 
   // --- report --------------------------------------------------------------

@@ -116,7 +116,7 @@ geofm::chaos::ServeAudit flood_server(const geofm::chaos::Campaign& campaign,
       campaign.overload_steps.empty() ? 1 : campaign.overload_steps.size();
   for (size_t b = 0; b < bursts; ++b) {
     std::vector<std::future<serve::EmbedResult>> futs;
-    for (i64 r = 0; r < campaign.overload_requests; ++r) {
+    for (i64 r = 0; r < geofm::chaos::kOverloadRequests; ++r) {
       geofm::Rng rng(campaign.seed ^ (u64(b) << 32) ^ u64(r));
       serve::EmbedRequest req;
       req.image = geofm::Tensor::randn(

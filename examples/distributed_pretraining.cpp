@@ -117,10 +117,10 @@ int main() {
       }
 
       // Materialize and checkpoint the full model from rank 0 (the
-      // single-file legacy format downstream tools read).
+      // single-file module format downstream tools read).
       fsdp.gather_full_parameters();
       if (c.rank() == 0) {
-        train::save_checkpoint(mae, "/tmp/geofm_distributed_example.bin");
+        ckpt::save_module(mae, "/tmp/geofm_distributed_example.bin");
       }
       c.barrier();
     });

@@ -23,6 +23,13 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure
 
+echo "== benchmark: perfbench/ builds against the current headers =="
+# Build-only: perfbench/ is the repository benchmark's standalone build
+# (library + geofm_perfbench, no GTest). A change to a public config
+# struct or API it uses fails here, not in the benchmark run.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j "$JOBS"
+
 echo "== kernel engine: scalar-oracle cross-check =="
 # The default build above ran everything under the SIMD kernel engine
 # (GEOFM_KERNELS default). Re-run the kernel-facing suites against the

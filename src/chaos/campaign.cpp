@@ -27,10 +27,6 @@ enum FaultCode : int {
   kLoaderPoison = 10,
 };
 
-bool is_comm(int c) { return c <= kCommSlowRank; }
-bool is_storage(int c) { return c >= kIoTornWrite && c <= kIoTornUpload; }
-bool is_loader(int c) { return c >= kLoaderKill; }
-
 const char* kind_label(comm::FaultEvent::Kind kind) {
   using Kind = comm::FaultEvent::Kind;
   switch (kind) {
@@ -65,7 +61,7 @@ std::string Campaign::describe() const {
     out << "\n";
   }
   for (i64 s : overload_steps) {
-    out << "  overload step=" << s << " requests=" << overload_requests
+    out << "  overload step=" << s << " requests=" << kOverloadRequests
         << "\n";
   }
   return out.str();
@@ -74,9 +70,7 @@ std::string Campaign::describe() const {
 Campaign generate_campaign(const CampaignConfig& cfg) {
   GEOFM_CHECK(cfg.world >= 1, "campaign needs a world");
   GEOFM_CHECK(cfg.steps >= 2, "campaign needs at least 2 steps of horizon");
-  GEOFM_CHECK(cfg.min_faults_per_burst >= 1 &&
-                  cfg.max_faults_per_burst >= cfg.min_faults_per_burst,
-              "bad faults-per-burst range");
+  GEOFM_CHECK(cfg.max_faults_per_burst >= 1, "bad faults-per-burst range");
 
   std::vector<int> menu;
   if (cfg.comm_faults) {
@@ -86,11 +80,7 @@ Campaign generate_campaign(const CampaignConfig& cfg) {
     menu.insert(menu.end(), {kIoTornWrite, kIoFailWrite, kIoSlowWrite,
                              kIoSlowUpload, kIoTornUpload});
   }
-  if (cfg.loader_faults) {
-    menu.insert(menu.end(), {kLoaderKill, kLoaderSlow, kLoaderPoison});
-  }
-  GEOFM_CHECK(!menu.empty() || cfg.serve_overload,
-              "campaign with every subsystem disabled");
+  menu.insert(menu.end(), {kLoaderKill, kLoaderSlow, kLoaderPoison});
 
   Campaign camp;
   camp.seed = cfg.seed;
@@ -106,10 +96,8 @@ Campaign generate_campaign(const CampaignConfig& cfg) {
     const i64 step = 1 + burst.uniform_int(cfg.steps - 1);
     const int victim = static_cast<int>(burst.uniform_int(cfg.world));
     const int n_faults =
-        cfg.min_faults_per_burst +
-        static_cast<int>(burst.uniform_int(cfg.max_faults_per_burst -
-                                           cfg.min_faults_per_burst + 1));
-    for (int f = 0; f < n_faults && !menu.empty(); ++f) {
+        1 + static_cast<int>(burst.uniform_int(cfg.max_faults_per_burst));
+    for (int f = 0; f < n_faults; ++f) {
       Rng draw = burst.split(100 + static_cast<u64>(f));
       int code = menu[static_cast<size_t>(
           draw.uniform_int(static_cast<i64>(menu.size())))];

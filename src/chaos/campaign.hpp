@@ -36,10 +36,9 @@ struct CampaignConfig {
   int world = 4;
   i64 steps = 8;
   i64 io_ops = 4;
-  /// Correlated bursts per campaign, each landing `min_faults_per_burst`
-  /// .. `max_faults_per_burst` faults in one (interval, victim) window.
+  /// Correlated bursts per campaign, each landing 1 ..
+  /// `max_faults_per_burst` faults in one (interval, victim) window.
   int bursts = 2;
-  int min_faults_per_burst = 1;
   int max_faults_per_burst = 3;
   /// Hard bound on rank kills across the whole campaign, so a campaign
   /// never shrinks a run below `world - max_kills` (keep it above the
@@ -47,23 +46,25 @@ struct CampaignConfig {
   int max_kills = 1;
   /// Subsystems to draw from. Disabling one removes its fault kinds from
   /// the menu; the draw sequence is unchanged (a disabled pick redraws
-  /// deterministically).
+  /// deterministically). Loader faults are always on the menu.
   bool comm_faults = true;
   bool storage_faults = true;
-  bool loader_faults = true;
   bool serve_overload = true;
 };
+
+/// Concurrent submissions per serving overload flood (read by the
+/// campaign's describe() and by the soak harness that drives the flood).
+constexpr i64 kOverloadRequests = 32;
 
 /// One generated campaign. `plan` is in identity terms, ready for
 /// `ElasticConfig::faults`; `overload_steps` schedules client-side
 /// request floods against the serving tier (driven by the soak harness —
 /// overload is a traffic pattern, not an injectable event), each of
-/// `overload_requests` concurrent submissions.
+/// `kOverloadRequests` concurrent submissions.
 struct Campaign {
   u64 seed = 0;
   comm::FaultPlan plan;
   std::vector<i64> overload_steps;
-  i64 overload_requests = 32;
 
   /// Human-readable one-line-per-event summary (for soak logs).
   std::string describe() const;

@@ -158,11 +158,10 @@ InvariantReport check_invariants(const InvariantInputs& in) {
 
     // ----- recovery-bounded ---------------------------------------------
     rep.checked.push_back("recovery-bounded");
-    const int max_rec =
-        in.max_recoveries > 0 ? in.max_recoveries : in.config->max_recoveries;
-    if (res.recoveries > max_rec) {
+    if (res.recoveries > train::kMaxRecoveries) {
       std::ostringstream d;
-      d << res.recoveries << " recoveries exceeds the bound " << max_rec;
+      d << res.recoveries << " recoveries exceeds the bound "
+        << train::kMaxRecoveries;
       violate(rep, "recovery-bounded", d.str());
     }
     if (in.max_recovery_seconds > 0 &&
@@ -206,7 +205,7 @@ InvariantReport check_invariants(const InvariantInputs& in) {
     }
 
     // ----- recovery-bitwise ---------------------------------------------
-    if (in.check_bitwise_recovery && in.corpus != nullptr && last.completed &&
+    if (in.corpus != nullptr && last.completed &&
         !last.truncated_for_growth) {
       rep.checked.push_back("recovery-bitwise");
       const std::vector<float> want =

@@ -12,8 +12,9 @@
 //                          run at the same world resumed from the same
 //                          checkpoint, with the attempt's loss-affecting
 //                          fired faults replayed
-//   recovery-bounded       recoveries and summed recovery seconds stay
-//                          under the configured ceilings
+//   recovery-bounded       recoveries stay within train::kMaxRecoveries
+//                          and summed recovery seconds under the
+//                          configured ceiling
 //   postmortems-present    every failed attempt archived a flight
 //                          bundle, the file exists, and its fired_plan
 //                          note parses back into a replayable campaign
@@ -51,13 +52,9 @@ struct InvariantInputs {
   std::vector<std::string> publish_roots;
   /// Serving audit (issued == 0 = skip).
   ServeAudit serve;
-  /// Ceilings for recovery-bounded. max_recoveries <= 0 defaults to the
-  /// config's; max_recovery_seconds <= 0 skips the time bound.
-  int max_recoveries = 0;
+  /// Time ceiling for recovery-bounded (<= 0 skips the time bound); the
+  /// count ceiling is train::kMaxRecoveries.
   double max_recovery_seconds = 0;
-  /// The bitwise replay re-trains the completing attempt — skip it when
-  /// auditing time matters more than depth (the soak runner keeps it on).
-  bool check_bitwise_recovery = true;
 };
 
 struct InvariantViolation {

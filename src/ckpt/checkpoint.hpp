@@ -134,9 +134,8 @@ std::vector<i64> apply_retention(const std::string& root,
                                  const RetentionPolicy& policy);
 
 /// Writes a complete single-rank checkpoint to `path` as one shard file
-/// (atomically). The legacy train::save_checkpoint API and single-process
-/// tools use this; the result is readable by CheckpointReader like any
-/// directory checkpoint.
+/// (atomically). ckpt::save_module and single-process tools use this; the
+/// result is readable by CheckpointReader like any directory checkpoint.
 void save_file(const std::string& path, const StateDesc& state,
                const std::map<std::string, i64>& counters = {},
                const std::map<std::string, u64>& rng_streams = {});

@@ -1,5 +1,6 @@
 #include "ckpt/state.hpp"
 
+#include "ckpt/checkpoint.hpp"
 #include "ckpt/reshard.hpp"
 
 namespace geofm::ckpt {
@@ -95,6 +96,17 @@ std::map<std::string, i64> optimizer_scalars(optim::Optimizer& optimizer) {
     out["optim." + std::string(scalar.name)] = *scalar.value;
   }
   return out;
+}
+
+void save_module(nn::Module& module, const std::string& path) {
+  save_file(path, replicated_state(module, /*optimizer=*/nullptr, /*rank=*/0,
+                                   /*world=*/1, /*for_save=*/true));
+}
+
+void load_module(nn::Module& module, const std::string& path) {
+  CheckpointReader reader(path);
+  reader.restore(replicated_state(module, /*optimizer=*/nullptr, /*rank=*/0,
+                                  /*world=*/1, /*for_save=*/false));
 }
 
 }  // namespace geofm::ckpt

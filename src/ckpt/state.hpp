@@ -66,4 +66,15 @@ StateDesc fsdp_state(parallel::Fsdp& fsdp, optim::Optimizer* optimizer);
 /// ("optim.<name>" -> value); empty map for stateless optimizers.
 std::map<std::string, i64> optimizer_scalars(optim::Optimizer& optimizer);
 
+/// Writes every parameter (name, shape, data) of `module` to `path` as a
+/// single-rank, parameters-only checkpoint: one checksummed shard file
+/// (atomic: temp + rename).
+void save_module(nn::Module& module, const std::string& path);
+
+/// Loads a save_module checkpoint into `module`. Every parameter in the
+/// module must be present with a matching full shape — the first mismatch
+/// is reported by parameter name; extra entries in the file are ignored.
+/// Throws geofm::Error on mismatch, corruption, or malformed input.
+void load_module(nn::Module& module, const std::string& path);
+
 }  // namespace geofm::ckpt

@@ -20,6 +20,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
+constexpr double kAttemptTimeoutSeconds = 30.0;  // wall clock per attempt
+constexpr double kBackoffJitter = 0.5;  // backoff scaled by [1-j, 1+j)
+constexpr u64 kBackoffSeed = 0x5eedULL;  // deterministic jitter stream
+
 std::string canonical_or_self(const std::string& path) {
   std::error_code ec;
   fs::path p = fs::weakly_canonical(path, ec);
@@ -108,11 +112,10 @@ UploaderStats Uploader::stats() const {
 }
 
 void Uploader::check_deadline(double started, i64 step) const {
-  if (opts_.attempt_timeout_seconds <= 0) return;
-  if (monotonic_seconds() - started > opts_.attempt_timeout_seconds) {
+  if (monotonic_seconds() - started > kAttemptTimeoutSeconds) {
     throw Error("upload attempt for step " + std::to_string(step) +
                 " timed out after " +
-                std::to_string(opts_.attempt_timeout_seconds) + "s");
+                std::to_string(kAttemptTimeoutSeconds) + "s");
   }
 }
 
@@ -199,7 +202,7 @@ void Uploader::upload_once(i64 step) {
   copy_file((src / "manifest.txt").string(),
             (dst_tmp / "manifest.txt").string(), /*allow_torn=*/false);
 
-  if (opts_.verify_checksums) {
+  {  // verify every arrived record before the copy is trusted
     obs::TraceScope verify_span("upload.verify", "upload", "step", step);
     const format::Manifest arrived = format::read_manifest(dst_tmp.string());
     GEOFM_CHECK(arrived.step == step && arrived.shards == manifest.shards,
@@ -261,7 +264,7 @@ void Uploader::run() {
         // sleep.
         const double backoff = backoff_seconds(
             {opts_.initial_backoff_seconds, opts_.max_backoff_seconds,
-             opts_.backoff_jitter, opts_.seed},
+             kBackoffJitter, kBackoffSeed},
             static_cast<u64>(step), attempt);
         stats_.retries += 1;
         retries_m.add(1);

@@ -50,10 +50,6 @@ struct UploaderOptions {
   int max_retries = 5;      // attempts per checkpoint before giving up
   double initial_backoff_seconds = 0.05;
   double max_backoff_seconds = 2.0;
-  double backoff_jitter = 0.5;  // backoff scaled by [1-j, 1+j) per retry
-  double attempt_timeout_seconds = 30.0;  // wall clock per attempt
-  bool verify_checksums = true;
-  u64 seed = 0x5eedULL;  // jitter stream (deterministic backoff schedule)
   // Bytes/second cap on mirror copies; 0 = unthrottled. Mirroring shares
   // the filesystem with the checkpoint writer and the serving tier's
   // reload path — an unthrottled bulk copy can starve both. The pacing
@@ -61,7 +57,7 @@ struct UploaderOptions {
   // cumulative bytes fit the rate), interruptible by shutdown, and the
   // slept time is counted in `stats().throttled_seconds` and the
   // `upload.throttled_seconds` metric. Throttle sleeps count against
-  // `attempt_timeout_seconds`; size the two together.
+  // the 30 s per-attempt timeout; size the cap so a step fits in it.
   double max_bytes_per_second = 0;
 
   bool enabled() const { return !destination.empty(); }

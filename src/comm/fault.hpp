@@ -19,10 +19,6 @@
 // element, a kill unwinds at the same collective, and survivors observe
 // identical aborted state. That determinism is what lets the elastic
 // recovery tests assert exact loss trajectories around a fault.
-//
-// This layer replaces the ad-hoc `fault_hook` callback
-// (`DistributedPretrainConfig::fault_hook` is now a shim over a one-event
-// callback plan).
 #pragma once
 
 #include <functional>

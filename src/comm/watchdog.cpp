@@ -100,8 +100,7 @@ void watchdog_loop(CommGroup& g) {
   obs::set_thread_label("comm.watchdog");
   WatchdogState& w = *g.watchdog;
   const double deadline = w.opts.deadline_seconds;
-  const double poll =
-      w.opts.poll_seconds > 0 ? w.opts.poll_seconds : deadline / 4;
+  const double poll = deadline / 4;
   std::unique_lock<std::mutex> lk(w.mu);
   for (;;) {
     if (w.cv.wait_for(lk, std::chrono::duration<double>(poll),

@@ -34,12 +34,10 @@ namespace geofm::comm {
 
 struct WatchdogOptions {
   /// Max age of a partially-joined rendezvous before the missing ranks are
-  /// declared stalled and the group is aborted.
+  /// declared stalled and the group is aborted. The monitor thread polls
+  /// every deadline_seconds / 4, so detection latency is at most 1.25x
+  /// the deadline.
   double deadline_seconds = 1.0;
-
-  /// Poll interval of the monitor thread; 0 = deadline_seconds / 4.
-  /// Detection latency is at most deadline + poll.
-  double poll_seconds = 0;
 };
 
 namespace detail {

@@ -12,6 +12,11 @@
 #include "util/thread_context.hpp"
 
 namespace geofm::data {
+namespace {
+
+constexpr i64 kPrefetchBatches = 4;  // rendered-but-unconsumed batches
+
+}  // namespace
 
 DataLoader::DataLoader(const SceneDataset& dataset, Split split,
                        Options options)
@@ -21,7 +26,6 @@ DataLoader::DataLoader(const SceneDataset& dataset, Split split,
       owner_rank_(this_thread_rank()) {
   GEOFM_CHECK(options_.batch_size > 0);
   GEOFM_CHECK(options_.n_workers >= 0);
-  GEOFM_CHECK(options_.prefetch_batches >= 1);
   GEOFM_CHECK(options_.slice_offset >= 0 &&
                   (options_.slice_count < 0 ||
                    options_.slice_offset + options_.slice_count <=
@@ -76,10 +80,11 @@ void DataLoader::start_epoch(i64 epoch, i64 first_batch) {
     requeued_.clear();
     alive_workers_ = options_.n_workers;
     respawns_used_ = 0;
-  }
-
-  for (int w = 0; w < options_.n_workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
+    // Spawn under mu_: a worker killed by the fault seam appends its
+    // replacement to workers_ under mu_, possibly before this loop ends.
+    for (int w = 0; w < options_.n_workers; ++w) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
   }
 }
 
@@ -185,8 +190,7 @@ void DataLoader::worker_loop() {
       cv_produce_.wait(lk, [&] {
         return stopping_ || !requeued_.empty() ||
                (next_to_claim_ < n_batches_ &&
-                next_to_claim_ - next_to_consume_ <
-                    options_.prefetch_batches);
+                next_to_claim_ - next_to_consume_ < kPrefetchBatches);
       });
       if (stopping_) {
         --alive_workers_;
@@ -231,7 +235,7 @@ void DataLoader::worker_loop() {
           std::lock_guard<std::mutex> lk(mu_);
           requeued_.push_back(mine);
           --alive_workers_;
-          if (!stopping_ && respawns_used_ < options_.max_worker_respawns) {
+          if (!stopping_ && respawns_used_ < kMaxWorkerRespawns) {
             ++respawns_used_;
             ++alive_workers_;
             workers_.emplace_back([this] { worker_loop(); });

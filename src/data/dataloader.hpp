@@ -37,7 +37,6 @@ class DataLoader {
     int n_workers = 4;       // 0 = synchronous rendering in next()
     bool shuffle = true;
     bool drop_last = true;
-    i64 prefetch_batches = 4;  // bound on rendered-but-unconsumed batches
     u64 seed = 0;
     /// Per-sample augmentation (training only). Deterministic given
     /// (seed, epoch, dataset index) regardless of worker scheduling.
@@ -58,7 +57,7 @@ class DataLoader {
     /// ordinal)` with the *global* batch ordinal (epoch *
     /// batches_per_epoch + batch index). Injected worker deaths requeue
     /// the claimed batch and respawn a replacement thread (bounded by
-    /// `max_worker_respawns` per epoch); injected render delays are
+    /// `kMaxWorkerRespawns` per epoch); injected render delays are
     /// absorbed by the watchdog below; injected poison renders one
     /// sample row non-finite.
     comm::FaultInjector* fault_injector = nullptr;
@@ -68,7 +67,6 @@ class DataLoader {
     /// duplicate render is discarded — renders are bitwise
     /// deterministic, so either copy is the same batch. 0 disables.
     double watchdog_seconds = 0;
-    int max_worker_respawns = 4;  // replacement threads per epoch
     /// Poisoned-sample quarantine: scan each rendered sample row for
     /// non-finite values; offending rows are zeroed (the batch survives)
     /// and their dataset indices recorded — a bad shard degrades
@@ -77,6 +75,11 @@ class DataLoader {
     /// untrusted data.
     bool quarantine_poisoned = false;
   };
+
+  /// Replacement threads per epoch for workers killed by the fault seam;
+  /// past it the surviving workers, or the consumer once none is left,
+  /// render the orphaned batches.
+  static constexpr int kMaxWorkerRespawns = 4;
 
   DataLoader(const SceneDataset& dataset, Split split, Options options);
   ~DataLoader();

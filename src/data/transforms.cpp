@@ -88,9 +88,9 @@ Tensor crop(const Tensor& image, i64 top, i64 left, i64 h, i64 w) {
 Tensor augment(const Tensor& image, const AugmentOptions& options, Rng& rng) {
   check_chw(image);
   Tensor out = image.clone();
-  if (options.horizontal_flip && rng.uniform() < 0.5) out = hflip(out);
-  if (options.vertical_flip && rng.uniform() < 0.5) out = vflip(out);
-  if (options.rotate90 && image.dim(1) == image.dim(2)) {
+  if (rng.uniform() < 0.5) out = hflip(out);
+  if (rng.uniform() < 0.5) out = vflip(out);
+  if (image.dim(1) == image.dim(2)) {
     const int k = static_cast<int>(rng.uniform_int(4));
     if (k != 0) out = rot90(out, k);
   }

@@ -17,16 +17,15 @@ Tensor rot90(const Tensor& image, int k);
 /// Crop a [C, H, W] image at (top, left) to (h, w); bounds-checked.
 Tensor crop(const Tensor& image, i64 top, i64 left, i64 h, i64 w);
 
-/// Augmentation policy applied per sample during pretraining.
+/// Augmentation policy applied per sample during pretraining. Flips and
+/// 90-degree rotations are always on.
 struct AugmentOptions {
-  bool horizontal_flip = true;
-  bool vertical_flip = true;   // valid for nadir aerial imagery
-  bool rotate90 = true;        // likewise
   i64 max_shift = 0;           // shift-crop-and-pad jitter, pixels (0 = off)
 };
 
-/// Applies a random subset of the enabled augmentations, driven by `rng`.
-/// Shape-preserving (shift uses reflect padding).
+/// Applies a random horizontal flip, vertical flip (valid for nadir aerial
+/// imagery), 90-degree rotation (square images only) and, when enabled, a
+/// shift, driven by `rng`. Shape-preserving (shift uses reflect padding).
 Tensor augment(const Tensor& image, const AugmentOptions& options, Rng& rng);
 
 }  // namespace geofm::data

@@ -16,7 +16,7 @@
 //   comm/      thread-rank collectives (nonblocking engine + split)
 //   parallel/  DDP and FSDP (all sharding strategies, prefetch modes)
 //   data/      procedural scene datasets (Table II), DataLoader
-//   train/     pretraining, linear probing, checkpoints
+//   train/     pretraining, fine-tuning, linear probing, elastic recovery
 //   ckpt/      sharded checkpoint/restart (async snapshots, resharding)
 //   serve/     frozen-encoder embedding service (hot-reload, batching,
 //              embedding cache, per-tenant linear-probe heads)
@@ -52,7 +52,6 @@
 #include "serve/heads.hpp"
 #include "serve/server.hpp"
 #include "sim/simulator.hpp"
-#include "train/checkpoint.hpp"
 #include "train/distributed.hpp"
 #include "train/elastic.hpp"
 #include "train/linear_probe.hpp"

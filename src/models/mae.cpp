@@ -311,7 +311,7 @@ Tensor MAE::backward() {
   return patch_embed.backward(dtokens.view({b, n, we}));
 }
 
-Tensor MAE::encode(const Tensor& images, Pool pool) {
+Tensor MAE::encode(const Tensor& images) {
   const i64 b = images.dim(0);
   const i64 n = cfg_.encoder.n_patches();
   const i64 we = cfg_.encoder.width;
@@ -323,20 +323,14 @@ Tensor MAE::encode(const Tensor& images, Pool pool) {
   x = enc_norm.forward(x);
 
   Tensor feat = Tensor::zeros({b, we});
-  if (pool == Pool::kCls) {
-    for (i64 bi = 0; bi < b; ++bi) {
-      std::copy_n(x.data() + bi * (n + 1) * we, we, feat.data() + bi * we);
+  const float inv = 1.f / static_cast<float>(n);
+  for (i64 bi = 0; bi < b; ++bi) {
+    float* dst = feat.data() + bi * we;
+    for (i64 t = 1; t <= n; ++t) {
+      const float* src = x.data() + (bi * (n + 1) + t) * we;
+      for (i64 j = 0; j < we; ++j) dst[j] += src[j];
     }
-  } else {
-    const float inv = 1.f / static_cast<float>(n);
-    for (i64 bi = 0; bi < b; ++bi) {
-      float* dst = feat.data() + bi * we;
-      for (i64 t = 1; t <= n; ++t) {
-        const float* src = x.data() + (bi * (n + 1) + t) * we;
-        for (i64 j = 0; j < we; ++j) dst[j] += src[j];
-      }
-      for (i64 j = 0; j < we; ++j) dst[j] *= inv;
-    }
+    for (i64 j = 0; j < we; ++j) dst[j] *= inv;
   }
   return feat;
 }

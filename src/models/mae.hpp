@@ -33,17 +33,12 @@ class MAE : public nn::Module, public nn::StagedModel {
   /// parameter gradients. Returns d(images) (rarely used).
   Tensor backward();
 
-  /// How downstream features are read out of the encoder.
-  enum class Pool {
-    kGap,  // mean of patch tokens after the encoder norm (default)
-    kCls,  // class-token feature
-  };
-
   /// Feature extraction for downstream adaptation: runs the *unmasked*
   /// full patch sequence through the encoder and returns per-image
-  /// features [B, encoder width]. Inference only (no activation caching
-  /// is preserved for backward).
-  Tensor encode(const Tensor& images, Pool pool = Pool::kGap);
+  /// features [B, encoder width], the mean of the patch tokens after the
+  /// encoder norm. Inference only (no activation caching is preserved for
+  /// backward).
+  Tensor encode(const Tensor& images);
 
   std::vector<nn::Parameter*> parameters() override;
 

@@ -115,9 +115,7 @@ struct Sampler {
     append_double(line, monotonic_seconds());
     line += ", \"interval\": ";
     append_double(line, opts.interval_seconds);
-    if (opts.include_rss) {
-      line += ", \"rss_bytes\": " + std::to_string(rss_bytes());
-    }
+    line += ", \"rss_bytes\": " + std::to_string(rss_bytes());
     line += ", \"metrics\": {";
     bool first = true;
     for (const MetricSample& m : d) {

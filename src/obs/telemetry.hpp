@@ -9,7 +9,7 @@
 //     ranks already emit (step / step.fetch / step.forward / ... plus
 //     exposed comm wait), consumed incrementally via
 //     `TraceRecorder::drain_new_events` so each tick costs O(new events);
-//   * process RSS.
+//   * process RSS (/proc/self), every tick.
 //
 // Hot-path cost is ~zero by construction: ranks pay nothing beyond the
 // tracing they already do — the sampler is a pure consumer on its own
@@ -30,7 +30,6 @@ namespace geofm::obs::telemetry {
 struct TelemetryOptions {
   std::string dir;                 // output directory (created if missing)
   double interval_seconds = 0.1;   // 10 Hz default
-  bool include_rss = true;         // sample /proc/self RSS per tick
 };
 
 /// Starts the sampler thread. Returns false (and does nothing) if one is

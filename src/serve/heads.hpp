@@ -5,7 +5,7 @@
 // nn::Linear per downstream task — a few KB of weights against a shared
 // multi-GB encoder, which is why one server can carry every tenant. A
 // head is registered programmatically (put) or loaded from a probe-head
-// checkpoint written with train::save_checkpoint (load): the shard's
+// checkpoint written with ckpt::save_module (load): the shard's
 // "probe.head.weight" record names the [classes, width] shape, so the
 // registry reconstructs the layer without out-of-band metadata.
 //
@@ -43,7 +43,7 @@ class HeadRegistry {
   void put(const std::string& tenant, std::unique_ptr<nn::Linear> head,
            std::string source = "");
 
-  /// Loads a probe-head checkpoint (train::save_checkpoint of the probe's
+  /// Loads a probe-head checkpoint (ckpt::save_module of the probe's
   /// nn::Linear, parameters "probe.head.weight"/"probe.head.bias") and
   /// registers it. `expect_width` != 0 verifies the head matches the
   /// served encoder width. Throws geofm::Error on a malformed file or a

@@ -98,32 +98,22 @@ struct ServerConfig {
   std::string checkpoint_root;  // primary manifest directory
   // Ordered failover list scanned by every (re)load: entry 0 is the
   // most trusted. Empty = {checkpoint_root}. Typical: {publish dir,
-  // uploader mirror}. Non-primary candidates are checksum-verified
-  // before their manifest is trusted (see verify_mirror_checksums).
+  // uploader mirror}. Non-primary candidates are checksum-verified in
+  // full before their manifest is trusted.
   std::vector<std::string> checkpoint_sources;
   models::MaeConfig model;      // architecture the checkpoints hold
   i64 max_batch = 8;
   i64 max_delay_us = 1000;
   i64 max_queue = 1024;       // bounded admission; 0 = unbounded (no shed)
   i64 default_deadline_us = 0;  // applied when a request carries none
-  // Promote cache-hit-eligible (non-empty key) and tenant-head requests
-  // to the interactive lane automatically, so they are not starved
-  // behind bulk encodes. Explicit EmbedRequest::lane always wins.
-  bool auto_priority = false;
   i64 cache_capacity = 1024;  // embedding-cache entries; 0 disables
   double poll_interval_seconds = 0.05;  // <= 0 disables the poller thread
-  models::MAE::Pool pool = models::MAE::Pool::kGap;
-  // Restore only the encoder subset (patch embed, cls token, encoder
-  // blocks, encoder norm) from full MAE checkpoints: the decoder never
-  // runs in serving, so skipping it roughly halves reload IO.
-  bool encoder_only_restore = true;
   // ----- resilience knobs ------------------------------------------------
   int breaker_threshold = 3;  // consecutive failing reload ticks to trip
   BackoffPolicy breaker_backoff{/*initial_seconds=*/0.5,
                                 /*max_seconds=*/30.0,
                                 /*jitter=*/0.5,
                                 /*seed=*/0xb1eaULL};
-  bool verify_mirror_checksums = true;  // full pass before trusting a mirror
   bool allow_degraded_start = false;    // cache-only instead of ctor throw
   bool unload_on_sourceless = false;    // drop weights when all sources die
   /// Per-tenant admission weights, passed through to the batcher's

@@ -50,15 +50,12 @@ void scalar_adamw(i64 n, float* w, const float* g, float* m, float* v,
 void simd_adamw(i64 n, float* w, const float* g, float* m, float* v,
                 const AdamWConfig& cfg);
 
+// Patch layout transforms are pure data movement: one implementation in
+// both modes (a vectorized copy earned no measurable speedup).
 void scalar_patchify(i64 b, i64 c, i64 h, i64 w, i64 patch,
                      const float* images, float* out);
-void simd_patchify(i64 b, i64 c, i64 h, i64 w, i64 patch, const float* images,
-                   float* out);
-
 void scalar_unpatchify(i64 b, i64 c, i64 grid, i64 patch, const float* patches,
                        float* out);
-void simd_unpatchify(i64 b, i64 c, i64 grid, i64 patch, const float* patches,
-                     float* out);
 
 // ----- uninstrumented mode routing -------------------------------------------
 // kernels::gemm / softmax_fwd / softmax_bwd are these plus their span and

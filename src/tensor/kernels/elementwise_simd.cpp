@@ -1,38 +1,17 @@
-// Vectorized elementwise kernels: the AdamW parameter update and the
-// patchify/unpatchify layout transforms.
+// Vectorized elementwise kernels: the AdamW parameter update.
 //
 // AdamW runs the whole update in fp32 lanes (the oracle's double
 // intermediates exist for clarity, not necessity — the moment buffers and
 // weights are fp32 anyway); bias corrections arrive precomputed per step.
-// The patch transforms are pure data movement: the win over the oracle is
-// vector copies for wide patches and a grain hint that keeps small calls
-// on the calling thread.
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "tensor/kernels/detail.hpp"
 #include "tensor/kernels/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace geofm::kernels::detail {
-namespace {
 
 using simd::kLanes;
 using simd::vf;
-
-// Copies `n` floats; vector path for full lanes, memcpy tail.
-inline void copy_row(float* dst, const float* src, i64 n) {
-  i64 c = 0;
-  for (; c + kLanes <= n; c += kLanes) {
-    simd::store(dst + c, simd::load(src + c));
-  }
-  if (c < n) {
-    std::memcpy(dst + c, src + c, static_cast<size_t>(n - c) * sizeof(float));
-  }
-}
-
-}  // namespace
 
 void simd_adamw(i64 n, float* w, const float* g, float* m, float* v,
                 const AdamWConfig& cfg) {
@@ -74,63 +53,6 @@ void simd_adamw(i64 n, float* w, const float* g, float* m, float* v,
     w[j] -= decay * w[j];
     w[j] -= lr * mhat / (std::sqrt(vhat) + eps);
   }
-}
-
-void simd_patchify(i64 b, i64 c, i64 h, i64 w, i64 patch, const float* images,
-                   float* out) {
-  const i64 gw = w / patch;
-  const i64 n = (h / patch) * gw;
-  const i64 pdim = patch * patch * c;
-  parallel_for(
-      b * n,
-      [&](i64 i0, i64 i1) {
-        for (i64 idx = i0; idx < i1; ++idx) {
-          const i64 bi = idx / n;
-          const i64 pi = idx % n;
-          const i64 py = pi / gw, px = pi % gw;
-          float* dst = out + idx * pdim;
-          const float* base = images + (bi * c * h + py * patch) * w +
-                              px * patch;
-          for (i64 ci = 0; ci < c; ++ci) {
-            const float* src = base + ci * h * w;
-            for (i64 y = 0; y < patch; ++y) {
-              copy_row(dst, src, patch);
-              dst += patch;
-              src += w;
-            }
-          }
-        }
-      },
-      /*grain=*/std::max<i64>(i64{1}, i64{16384} / std::max<i64>(i64{1},
-                                                                 pdim)));
-}
-
-void simd_unpatchify(i64 b, i64 c, i64 grid, i64 patch, const float* patches,
-                     float* out) {
-  const i64 n = grid * grid;
-  const i64 hw = grid * patch;
-  const i64 pdim = patch * patch * c;
-  parallel_for(
-      b * n,
-      [&](i64 i0, i64 i1) {
-        for (i64 idx = i0; idx < i1; ++idx) {
-          const i64 bi = idx / n;
-          const i64 pi = idx % n;
-          const i64 py = pi / grid, px = pi % grid;
-          const float* src = patches + idx * pdim;
-          float* base = out + (bi * c * hw + py * patch) * hw + px * patch;
-          for (i64 ci = 0; ci < c; ++ci) {
-            float* dst = base + ci * hw * hw;
-            for (i64 y = 0; y < patch; ++y) {
-              copy_row(dst, src, patch);
-              src += patch;
-              dst += hw;
-            }
-          }
-        }
-      },
-      /*grain=*/std::max<i64>(i64{1}, i64{16384} / std::max<i64>(i64{1},
-                                                                 pdim)));
 }
 
 }  // namespace geofm::kernels::detail

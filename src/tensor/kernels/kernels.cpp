@@ -248,11 +248,7 @@ void patchify(i64 b, i64 c, i64 h, i64 w, i64 patch, const float* images,
   static FamilyCounters fam("patchify");
   const i64 total = b * c * h * w;
   KernelScope scope("kernel.patchify", fam, /*flops=*/0, 4 * 2 * total);
-  if (use_simd()) {
-    detail::simd_patchify(b, c, h, w, patch, images, out);
-  } else {
-    detail::scalar_patchify(b, c, h, w, patch, images, out);
-  }
+  detail::scalar_patchify(b, c, h, w, patch, images, out);
 }
 
 void unpatchify(i64 b, i64 c, i64 grid, i64 patch, const float* patches,
@@ -260,11 +256,7 @@ void unpatchify(i64 b, i64 c, i64 grid, i64 patch, const float* patches,
   static FamilyCounters fam("unpatchify");
   const i64 total = b * c * grid * grid * patch * patch;
   KernelScope scope("kernel.unpatchify", fam, /*flops=*/0, 4 * 2 * total);
-  if (use_simd()) {
-    detail::simd_unpatchify(b, c, grid, patch, patches, out);
-  } else {
-    detail::scalar_unpatchify(b, c, grid, patch, patches, out);
-  }
+  detail::scalar_unpatchify(b, c, grid, patch, patches, out);
 }
 
 }  // namespace geofm::kernels

@@ -112,6 +112,8 @@ void adamw_update(i64 n, float* w, const float* g, float* m, float* v,
                   const AdamWConfig& cfg);
 
 // ----- image <-> patch --------------------------------------------------------
+// Pure permutations with a single implementation: the same code runs in
+// both GEOFM_KERNELS modes.
 
 /// [B, C, H, W] -> [B, N, P*P*C], channel-major within a patch (the MAE
 /// layout). h and w must be multiples of patch.

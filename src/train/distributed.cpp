@@ -19,6 +19,16 @@
 #include "util/timer.hpp"
 
 namespace geofm::train {
+namespace {
+
+/// Loader stall watchdog, armed only when the fault plan carries
+/// loader-kind events: if a rank's next() waits longer than this for a
+/// batch — a hung render or a worker killed without respawn budget — the
+/// consumer re-renders the batch itself and late duplicates are
+/// discarded.
+constexpr double kLoaderWatchdogSeconds = 0.25;
+
+}  // namespace
 
 DistributedPretrainResult pretrain_mae_distributed(
     models::MAE& mae, parallel::Fsdp& fsdp, comm::Communicator& comm,
@@ -40,9 +50,7 @@ DistributedPretrainResult pretrain_mae_distributed(
   // Failure model: the injector sits under the communicator (so
   // post-triggered faults cover FSDP's sub-communicators too) and is
   // consulted at the mid-step fault point; the watchdog turns a stalled
-  // rank into a diagnosed group abort instead of a deadlock. The
-  // deprecated fault_hook rides the same path as a one-event callback
-  // plan (not installed at the comm level — hooks are step-point only).
+  // rank into a diagnosed group abort instead of a deadlock.
   if (cfg.fault_injector) {
     comm.install_fault_injector(cfg.fault_injector);
     // The same plan covers the storage path: checkpoint writes, restore
@@ -53,12 +61,6 @@ DistributedPretrainResult pretrain_mae_distributed(
     comm::WatchdogOptions wopts;
     wopts.deadline_seconds = cfg.watchdog_deadline_seconds;
     comm.start_watchdog(wopts);
-  }
-  std::shared_ptr<comm::FaultInjector> legacy_hook;
-  if (cfg.fault_hook) {
-    comm::FaultPlan shim;
-    shim.events.push_back(comm::FaultEvent::callback_every_step(cfg.fault_hook));
-    legacy_hook = std::make_shared<comm::FaultInjector>(std::move(shim));
   }
 
   // Every rank shares one global batch stream (same seed, same shuffle)
@@ -82,7 +84,7 @@ DistributedPretrainResult pretrain_mae_distributed(
   if (cfg.fault_injector && cfg.fault_injector->has_loader_events()) {
     lopts.fault_injector = cfg.fault_injector.get();
     lopts.quarantine_poisoned = true;
-    lopts.watchdog_seconds = cfg.loader_watchdog_seconds;
+    lopts.watchdog_seconds = kLoaderWatchdogSeconds;
   }
   data::DataLoader loader(corpus, data::Split::kTrain, lopts);
   const i64 batches_per_epoch = loader.batches_per_epoch();
@@ -220,9 +222,6 @@ DistributedPretrainResult pretrain_mae_distributed(
       if (cfg.fault_injector) {
         cfg.fault_injector->at_step_point(comm, step);
       }
-      if (legacy_hook) {
-        legacy_hook->at_step_point(comm, step);
-      }
       {
         obs::TraceScope span("step.optimizer", "optim", "step", step);
         opt.step();
@@ -245,7 +244,6 @@ DistributedPretrainResult pretrain_mae_distributed(
         // step + 1 would have.
         req.rng_streams = {{"mask_stream", mask_stream.state()}};
         req.retention.keep_last = cfg.checkpoint_keep_last;
-        req.retention.keep_multiple_of = cfg.checkpoint_keep_multiple_of;
         req.tolerate_failures = cfg.tolerate_checkpoint_failures;
         checkpointer->save(req);
       }

@@ -6,7 +6,6 @@
 // paper's prefetch/limit_all_gathers ablations are about.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,31 +59,18 @@ struct DistributedPretrainConfig {
   /// instead of deadlocking the run. Keep generous on oversubscribed
   /// machines (the deadline bounds healthy rendezvous skew).
   double watchdog_deadline_seconds = 0;
-  /// Loader stall watchdog (only armed when the fault plan carries
-  /// loader-kind events): if a rank's next() waits longer than this for
-  /// a batch — a hung render or a worker killed without respawn budget —
-  /// the consumer re-renders the batch itself and late duplicates are
-  /// discarded. 0 keeps the watchdog off even under a loader-fault plan.
-  double loader_watchdog_seconds = 0.25;
-  /// DEPRECATED — thin shim over the fault layer, kept for API
-  /// compatibility: the hook is wrapped in a one-event every-step
-  /// kCallback FaultPlan and fired at the same mid-step fault point.
-  /// New code should build a comm::FaultPlan and set fault_injector.
-  std::function<void(comm::Communicator&, i64 step)> fault_hook;
 
   // ----- checkpoint retention (ckpt::RetentionPolicy) ---------------------
-  /// > 0 bounds on-disk checkpoints: keep the last N complete steps...
+  /// > 0 bounds on-disk checkpoints: keep the last N complete steps,
+  /// GC'ing the rest atomically after each publication.
   i64 checkpoint_keep_last = 0;
-  /// ...plus every step divisible by this (0 = no anchors), GC'ing the
-  /// rest atomically after each publication.
-  i64 checkpoint_keep_multiple_of = 0;
 
   // ----- storage-path robustness (ckpt::Uploader, io-fault seam) ----------
   /// Mirror every published checkpoint to `upload.destination` from a
   /// background uploader owned by rank 0 (empty destination = disabled).
   /// `upload.source` is owned by the driver (always the checkpoint_dir);
-  /// the remaining knobs — retries, backoff, timeouts, checksum
-  /// verification — pass through. Training never blocks on the upload:
+  /// the remaining knobs — retries, backoff, bandwidth cap — pass
+  /// through. Training never blocks on the upload:
   /// the driver barriers once at the end of the run and drains the queue,
   /// reporting totals in the result.
   ckpt::UploaderOptions upload;

@@ -51,7 +51,13 @@ struct Shared {
   double first_failure_ts = 0;  // monotonic_seconds of the first report
 };
 
-/// Largest k in [1, avail] such that world+k respects max_world and
+/// Watchdog deadline for the probationary rendezvous; a candidate whose
+/// rendezvous skew exceeds it is rejected, not admitted.
+constexpr double kProbationDeadlineSeconds = 0.75;
+/// Give up on growing after this many probation rounds.
+constexpr int kMaxReadmissions = 4;
+
+/// Largest k in [1, avail] such that world+k stays within max_world and
 /// divides the global batch; 0 when no growth is possible.
 int admissible_growth(int world, int avail, int max_world, i64 global_batch) {
   for (int k = avail; k >= 1; --k) {
@@ -108,8 +114,6 @@ ElasticResult run_elastic(const ElasticConfig& cfg,
                           const data::SceneDataset& corpus) {
   const int spares = cfg.readmission.spare_identities;
   const int total_ids = cfg.world + spares;
-  const int max_world =
-      cfg.readmission.max_world > 0 ? cfg.readmission.max_world : cfg.world;
   GEOFM_CHECK(cfg.world >= 1, "elastic world must be positive");
   GEOFM_CHECK(spares >= 0, "spare_identities must be >= 0");
   GEOFM_CHECK(cfg.min_world >= 1 && cfg.min_world <= cfg.world,
@@ -278,11 +282,9 @@ ElasticResult run_elastic(const ElasticConfig& cfg,
       const int n = static_cast<int>(cand.size());
       auto pgroup = comm::make_group(n + 1);
       comm::Communicator pad(pgroup, n);  // the supervisor's probe rank
-      if (cfg.readmission.probation_deadline_seconds > 0) {
-        comm::WatchdogOptions wopts;
-        wopts.deadline_seconds = cfg.readmission.probation_deadline_seconds;
-        pad.start_watchdog(wopts);
-      }
+      comm::WatchdogOptions wopts;
+      wopts.deadline_seconds = kProbationDeadlineSeconds;
+      pad.start_watchdog(wopts);
       {
         std::lock_guard<std::mutex> lk(sh.mu);
         for (int i = 0; i < n; ++i) {
@@ -443,8 +445,8 @@ ElasticResult run_elastic(const ElasticConfig& cfg,
       if (cfg.readmission.enabled() && !parked.empty() &&
           cfg.train.checkpoint_every_n_steps > 0 &&
           !cfg.train.checkpoint_dir.empty() &&
-          readmit_rounds < cfg.readmission.max_readmissions &&
-          admissible_growth(w, static_cast<int>(parked.size()), max_world,
+          readmit_rounds < kMaxReadmissions &&
+          admissible_growth(w, static_cast<int>(parked.size()), cfg.world,
                             cfg.train.global_batch) > 0) {
         const i64 n = cfg.train.checkpoint_every_n_steps;
         const i64 boundary = (resume_step / n + 1) * n;
@@ -594,9 +596,9 @@ ElasticResult run_elastic(const ElasticConfig& cfg,
           const std::vector<int> admitted = run_probation(cand);
           const int k =
               admissible_growth(w, static_cast<int>(admitted.size()),
-                                max_world, cfg.train.global_batch);
+                                cfg.world, cfg.train.global_batch);
           joining.assign(admitted.begin(), admitted.begin() + k);
-          // Admitted-but-unjoinable candidates (divisibility, max_world)
+          // Admitted-but-unjoinable candidates (divisibility, world cap)
           // stay parked for a later boundary.
           for (int id : joining) {
             parked.erase(std::remove(parked.begin(), parked.end(), id),
@@ -703,9 +705,9 @@ ElasticResult run_elastic(const ElasticConfig& cfg,
                     std::to_string(live.size()) + " < " +
                     std::to_string(cfg.min_world) + ")");
       }
-      if (res.recoveries >= cfg.max_recoveries) {
+      if (res.recoveries >= kMaxRecoveries) {
         throw Error("elastic: exceeded max_recoveries (" +
-                    std::to_string(cfg.max_recoveries) + ")");
+                    std::to_string(kMaxRecoveries) + ")");
       }
       ++res.recoveries;
       rec_count.add(1);

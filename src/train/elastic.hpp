@@ -32,6 +32,7 @@
 // next attempt running), `recovery.world`.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,10 @@
 
 namespace geofm::train {
 
+/// A run gives up (rethrows the last failure) after this many recoveries:
+/// past it the run is in a fault storm, not a fault.
+constexpr int kMaxRecoveries = 8;
+
 /// When and who may re-join a shrunken run (grow-back).
 ///
 /// Re-admission happens only at *checkpoint boundaries*: when growth is
@@ -51,14 +56,16 @@ namespace geofm::train {
 /// step the driver checkpoints, and on its completion runs a
 /// *probationary rendezvous* — candidates form a probe group with the
 /// supervisor, run the (optional) health-check hook, and complete a
-/// barrier + all-reduce under a watchdog armed with
-/// `probation_deadline_seconds`. A candidate that stalls or throws is
+/// barrier + all-reduce under a watchdog armed with a 0.75 s
+/// rendezvous deadline. A candidate that stalls or throws is
 /// re-quarantined permanently (`ElasticResult::probation_rejected`)
 /// without stalling the run; the healthy remainder is admitted, the
 /// communicator re-forms *up*, and the next attempt reshards from the
 /// boundary checkpoint onto the larger world. Identities parked while
 /// awaiting re-admission are in no communicator group, so the training
-/// watchdog never sees (and never flags) them.
+/// watchdog never sees (and never flags) them. The world never grows
+/// beyond its initial size, and the supervisor gives up on growing after
+/// four probation rounds.
 struct ReadmissionPolicy {
   /// Re-admit identities the supervisor quarantined earlier (a node
   /// coming back after a reboot).
@@ -66,13 +73,6 @@ struct ReadmissionPolicy {
   /// Fresh replacement identities world..world+spares-1, parked from the
   /// start (a spare node joining for the first time).
   int spare_identities = 0;
-  /// Never grow beyond this world size (0 = the initial world).
-  int max_world = 0;
-  /// Watchdog deadline for the probationary rendezvous; a candidate
-  /// whose rendezvous skew exceeds it is rejected, not admitted.
-  double probation_deadline_seconds = 0.75;
-  /// Give up on growing after this many probation rounds.
-  int max_readmissions = 4;
   /// Test seam: runs on the candidate's thread before its probationary
   /// rendezvous. Throwing or sleeping past the deadline gets the
   /// candidate rejected.
@@ -103,8 +103,6 @@ struct ElasticConfig {
   /// Give up (rethrow the last failure) if survivors would drop below
   /// this after quarantine + divisibility trimming.
   int min_world = 1;
-  /// Give up after this many recoveries (a fault storm, not a fault).
-  int max_recoveries = 8;
 
   /// Fault schedule, in *identity* (initial-world rank, plus spare
   /// identity) terms. Unfired events carry over across attempts,
@@ -166,8 +164,8 @@ struct ElasticResult {
 
 /// Runs MAE pretraining to completion across faults, shrinking the world
 /// as ranks die. Throws the underlying error when recovery is impossible
-/// (no diagnosable dead rank, survivors below min_world, recoveries
-/// exhausted, or a non-comm failure).
+/// (no diagnosable dead rank, survivors below min_world, more than
+/// kMaxRecoveries recoveries, or a non-comm failure).
 ElasticResult run_elastic(const ElasticConfig& cfg,
                           const data::SceneDataset& corpus);
 

@@ -7,6 +7,11 @@
 #include "util/log.hpp"
 
 namespace geofm::train {
+namespace {
+
+constexpr double kWarmupFrac = 0.1;  // fraction of steps spent warming up
+
+}  // namespace
 
 void init_vit_from_mae(models::ViTEncoder& vit, models::MAE& mae) {
   const auto& vcfg = vit.config();
@@ -91,7 +96,7 @@ FinetuneResult finetune(models::ViTEncoder& vit,
   const i64 steps_per_epoch = std::max<i64>(1, n_train / cfg.batch_size);
   const i64 total_steps = steps_per_epoch * cfg.epochs;
   const i64 warmup =
-      static_cast<i64>(static_cast<double>(total_steps) * cfg.warmup_frac);
+      static_cast<i64>(static_cast<double>(total_steps) * kWarmupFrac);
 
   std::vector<i64> order(static_cast<size_t>(n_train));
   for (i64 i = 0; i < n_train; ++i) order[static_cast<size_t>(i)] = i;

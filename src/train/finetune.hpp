@@ -23,9 +23,8 @@ struct FinetuneConfig {
   int top_blocks = 2;     // used by kTopBlocks
   i64 epochs = 20;
   i64 batch_size = 64;
-  double base_lr = 1e-3;  // AdamW
+  double base_lr = 1e-3;  // AdamW, warmed up over the first 10% of steps
   double weight_decay = 0.05;
-  double warmup_frac = 0.1;
   u64 seed = 0;
   bool verbose = false;
 };

@@ -8,6 +8,12 @@
 #include "util/log.hpp"
 
 namespace geofm::train {
+namespace {
+
+constexpr double kMomentum = 0.9;    // LARS momentum
+constexpr double kWarmupFrac = 0.1;  // fraction of steps spent warming up
+
+}  // namespace
 
 std::pair<Tensor, std::vector<i64>> extract_features(
     models::MAE& encoder, const data::SceneDataset& dataset, data::Split split,
@@ -97,13 +103,13 @@ ProbeResult linear_probe(models::MAE& encoder,
 
   const double peak_lr =
       cfg.base_lr * static_cast<double>(cfg.batch_size) / 256.0;
-  optim::Lars opt(head.parameters(), peak_lr, cfg.momentum,
+  optim::Lars opt(head.parameters(), peak_lr, kMomentum,
                   /*weight_decay=*/0.0, /*trust=*/0.01);
 
   const i64 steps_per_epoch =
       std::max<i64>(1, n_train / cfg.batch_size);
   const i64 total_steps = steps_per_epoch * cfg.epochs;
-  const i64 warmup = static_cast<i64>(total_steps * cfg.warmup_frac);
+  const i64 warmup = static_cast<i64>(total_steps * kWarmupFrac);
 
   ProbeResult result;
   std::vector<i64> order(static_cast<size_t>(n_train));

@@ -1,6 +1,7 @@
 // Linear probing (paper Sec. V-C): freeze the pretrained encoder, replace
 // the head with a single linear classifier, train it with LARS (base lr
-// 0.1, no weight decay) and report top-1/top-5 accuracy per epoch.
+// 0.1, momentum 0.9, no weight decay, linear warmup over the first 10% of
+// steps) and report top-1/top-5 accuracy per epoch.
 //
 // Because the backbone is frozen, features are precomputed once per split
 // and the probe trains on cached features — numerically identical to
@@ -18,8 +19,6 @@ struct ProbeConfig {
   i64 epochs = 100;       // paper value
   i64 batch_size = 256;   // paper: 256 (UCM/AID/NWPU), 1024 (MillionAID)
   double base_lr = 0.1;   // paper value (per 256 effective batch)
-  double momentum = 0.9;
-  double warmup_frac = 0.1;
   u64 seed = 0;
   bool verbose = false;
 };
@@ -31,7 +30,8 @@ struct ProbeResult {
   double final_top5 = 0.0;
 };
 
-/// Extracts class-token features for every sample of `split`.
+/// Extracts pooled encoder features (MAE::encode) for every sample of
+/// `split`.
 /// Returns [n, width] features plus labels.
 std::pair<Tensor, std::vector<i64>> extract_features(
     models::MAE& encoder, const data::SceneDataset& dataset, data::Split split,

@@ -7,6 +7,11 @@
 #include "util/timer.hpp"
 
 namespace geofm::train {
+namespace {
+
+constexpr double kWarmupFrac = 0.05;  // fraction of steps spent warming up
+
+}  // namespace
 
 PretrainResult pretrain_mae(models::MAE& mae, const data::SceneDataset& corpus,
                             const PretrainConfig& cfg) {
@@ -18,14 +23,13 @@ PretrainResult pretrain_mae(models::MAE& mae, const data::SceneDataset& corpus,
   lopts.n_workers = cfg.loader_workers;
   lopts.shuffle = true;
   lopts.seed = cfg.seed;
-  lopts.enable_augment = cfg.augment;
   data::DataLoader loader(corpus, data::Split::kTrain, lopts);
 
   const i64 steps_per_epoch = loader.batches_per_epoch();
   GEOFM_CHECK(steps_per_epoch > 0, "pretraining corpus smaller than a batch");
   const i64 total_steps = steps_per_epoch * cfg.epochs;
   const i64 warmup = static_cast<i64>(
-      static_cast<double>(total_steps) * cfg.warmup_frac);
+      static_cast<double>(total_steps) * kWarmupFrac);
 
   // MAE linear lr scaling rule: effective lr = base * batch / 256.
   const double peak_lr =

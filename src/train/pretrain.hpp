@@ -1,6 +1,7 @@
 // MAE pretraining loop (paper Sec. V-B recipe): AdamW, base lr 1.5e-4
 // scaled by global-batch/256, weight decay 0.05, cosine schedule with
-// warmup, 75% masking, multi-worker data loading.
+// warmup over the first 5% of steps, 75% masking, multi-worker data
+// loading, no augmentation (keeps the benchmark checkpoints reproducible).
 #pragma once
 
 #include <vector>
@@ -15,14 +16,9 @@ struct PretrainConfig {
   i64 batch_size = 64;
   double base_lr = 1.5e-4;     // paper value (per 256 effective batch)
   double weight_decay = 0.05;  // paper value
-  double warmup_frac = 0.05;   // fraction of total steps spent warming up
   int loader_workers = 4;      // paper uses 4 per rank
   u64 seed = 0;
   bool verbose = false;
-  /// Geometric augmentation (flips/rot90) during pretraining. Off by
-  /// default to keep the benchmark checkpoints reproducible; turn on for
-  /// data-starved corpora.
-  bool augment = false;
 };
 
 struct PretrainResult {

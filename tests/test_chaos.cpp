@@ -176,6 +176,34 @@ TEST(ChaosLoader, WorkerDeathRespawnsAndEpochIsBitwise) {
   EXPECT_EQ(counter_value("loader.respawns") - respawns_before, 1.0);
 }
 
+// One more worker death than the respawn budget: the budget is spent
+// exactly, the last death leaves no worker, and the consumer (stall
+// watchdog armed) renders the rest of the epoch — still bitwise.
+TEST(ChaosLoader, RespawnBudgetExhaustedEpochStillBitwise) {
+  auto ds = data::million_aid_pretrain(64, 16);
+  const auto tweak = [](DataLoader::Options& o) {
+    o.n_workers = 1;
+    o.watchdog_seconds = 1.0;
+  };
+  const auto baseline = collect_epoch(ds, tweak, nullptr);
+  constexpr int kKills = DataLoader::kMaxWorkerRespawns + 1;
+  ASSERT_GT(baseline.size(), static_cast<size_t>(kKills));
+
+  FaultPlan plan;
+  for (int k = 0; k < kKills; ++k) {
+    plan.events.push_back(FaultEvent::loader_worker_kill(0, k));
+  }
+  comm::FaultInjector injector(plan);
+  const double deaths_before = counter_value("loader.worker_deaths");
+  const double respawns_before = counter_value("loader.respawns");
+  const auto faulted = collect_epoch(ds, tweak, &injector);
+
+  expect_batches_bitwise(faulted, baseline);
+  EXPECT_EQ(counter_value("loader.worker_deaths") - deaths_before, kKills);
+  EXPECT_EQ(counter_value("loader.respawns") - respawns_before,
+            DataLoader::kMaxWorkerRespawns);
+}
+
 TEST(ChaosLoader, WatchdogTakesOverHungRender) {
   auto ds = data::million_aid_pretrain(48, 16);
   const auto baseline = collect_epoch(ds, nullptr, nullptr);
@@ -430,7 +458,7 @@ TEST(ChaosInvariants, PlantedTrainingViolationsAreFlagged) {
 
   // Recovery count over the bound.
   train::ElasticResult over = res;
-  over.recoveries = cfg.max_recoveries + 1;
+  over.recoveries = train::kMaxRecoveries + 1;
   EXPECT_TRUE(violated(over, "recovery-bounded"));
 
   // Recovery time over an explicit ceiling.

@@ -25,6 +25,7 @@
 #include "ckpt/reshard.hpp"
 #include "ckpt/state.hpp"
 #include "comm/communicator.hpp"
+#include "comm/fault.hpp"
 #include "data/datasets.hpp"
 #include "models/mae.hpp"
 #include "optim/optimizer.hpp"
@@ -793,12 +794,15 @@ TEST(FaultTolerance, MidRunKillResumesOnUninterruptedTrajectory) {
   faulted.checkpoint_every_n_steps = 3;
   faulted.checkpoint_dir = root;
   faulted.async_checkpoint = true;
-  faulted.fault_hook = [](Communicator& c, i64 step) {
-    if (step == 5 && c.rank() == 1) {
-      c.abort("injected fault");
-      throw Error("injected fault at step 5");
-    }
-  };
+  comm::FaultPlan plan;
+  plan.events.push_back(comm::FaultEvent::callback_every_step(
+      [](Communicator& c, i64 step) {
+        if (step == 5 && c.rank() == 1) {
+          c.abort("injected fault");
+          throw Error("injected fault at step 5");
+        }
+      }));
+  faulted.fault_injector = std::make_shared<comm::FaultInjector>(plan);
   EXPECT_THROW(run2(faulted), Error);
   EXPECT_EQ(ckpt::latest_step(root), 2);
 
@@ -819,6 +823,103 @@ TEST(FaultTolerance, MidRunKillResumesOnUninterruptedTrajectory) {
   // run's leftover temp directory.
   EXPECT_EQ(ckpt::latest_step(root), 5);
   fs::remove_all(root);
+}
+
+// ---------------------------------------------------- module checkpoints
+// ckpt::save_module / load_module: single-rank, parameters-only files.
+
+models::MaeConfig tiny_cfg() {
+  models::ViTConfig enc{.name = "t", .width = 16, .depth = 2, .mlp_dim = 64,
+                        .heads = 2, .img_size = 32, .patch_size = 8,
+                        .in_channels = 3};
+  return models::mae_for(enc);
+}
+
+TEST(Checkpoint, RoundTripRestoresParameters) {
+  const std::string path = "/tmp/geofm_test_ckpt.bin";
+  Rng rng(6);
+  models::MAE mae(tiny_cfg(), rng);
+  ckpt::save_module(mae, path);
+
+  // Snapshot, perturb, reload, compare.
+  std::vector<float> snapshot;
+  for (nn::Parameter* p : mae.parameters()) {
+    for (i64 i = 0; i < p->numel(); ++i) snapshot.push_back(p->value[i]);
+  }
+  for (nn::Parameter* p : mae.parameters()) p->value.fill_(123.f);
+  ckpt::load_module(mae, path);
+  size_t k = 0;
+  for (nn::Parameter* p : mae.parameters()) {
+    for (i64 i = 0; i < p->numel(); ++i) {
+      ASSERT_EQ(p->value[i], snapshot[k++]);
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, MismatchedModelRejected) {
+  const std::string path = "/tmp/geofm_test_ckpt2.bin";
+  Rng rng(7);
+  models::MAE small(tiny_cfg(), rng);
+  ckpt::save_module(small, path);
+
+  auto big_cfg = tiny_cfg();
+  big_cfg.encoder.width = 32;
+  big_cfg.encoder.mlp_dim = 128;
+  models::MAE big(big_cfg, rng);
+  EXPECT_THROW(ckpt::load_module(big, path), Error);
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, ShapeMismatchReportedByParameterName) {
+  const std::string path = "/tmp/geofm_test_ckpt_shape.bin";
+  struct OneParam : nn::Module {
+    nn::Parameter p;
+    OneParam(std::vector<i64> shape, const char* name) {
+      Rng rng(3);
+      p.name = name;
+      p.value = Tensor::randn(std::move(shape), rng);
+    }
+    std::vector<nn::Parameter*> parameters() override { return {&p}; }
+  };
+  OneParam saved({2, 3}, "enc.blocks.0.attn.w");
+  ckpt::save_module(saved, path);
+
+  // Same element count, transposed shape: the numel-only check of the
+  // original loader accepted this silently; it must now be rejected with
+  // the offending parameter named.
+  OneParam transposed({3, 2}, "enc.blocks.0.attn.w");
+  try {
+    ckpt::load_module(transposed, path);
+    FAIL() << "shape mismatch not detected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("enc.blocks.0.attn.w"), std::string::npos) << what;
+    EXPECT_NE(what.find("shape mismatch"), std::string::npos) << what;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, MissingFileRejected) {
+  Rng rng(8);
+  models::MAE mae(tiny_cfg(), rng);
+  EXPECT_THROW(ckpt::load_module(mae, "/tmp/geofm_does_not_exist.bin"),
+               Error);
+}
+
+TEST(Checkpoint, GarbageFileRejected) {
+  const std::string path = "/tmp/geofm_test_garbage.bin";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const char junk[] = "this is not a checkpoint";
+    std::fwrite(junk, 1, sizeof(junk), f);
+    std::fclose(f);
+  }
+  Rng rng(9);
+  models::MAE mae(tiny_cfg(), rng);
+  EXPECT_THROW(ckpt::load_module(mae, path), Error);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 // training loop on a small dataset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "models/config.hpp"
+#include "nn/block.hpp"
+#include "nn/pos_embed.hpp"
 #include "train/finetune.hpp"
 #include "train/pretrain.hpp"
 
@@ -10,6 +14,36 @@ namespace geofm {
 namespace {
 
 models::ViTConfig enc_cfg() { return models::proxy_huge(); }
+
+// The MAE encoder's class-token feature [B, width], read out through the
+// MAE's own modules: patch embed plus sin-cos positions, the cls token
+// prepended, the encoder blocks, the encoder norm, then token 0.
+Tensor mae_cls_feature(models::MAE& mae, const Tensor& images) {
+  const auto& e = mae.config().encoder;
+  const i64 b = images.dim(0), n = e.n_patches(), w = e.width;
+  const Tensor tokens = mae.patch_embed.forward(images);
+  const Tensor pos =
+      nn::sincos_pos_embed_2d(w, e.img_size / e.patch_size, true);
+  Tensor x({b, n + 1, w});
+  for (i64 bi = 0; bi < b; ++bi) {
+    float* row = x.data() + bi * (n + 1) * w;
+    std::copy_n(mae.cls_token.value.data(), w, row);
+    for (i64 i = 0; i < n * w; ++i) {
+      row[w + i] = tokens.data()[bi * n * w + i] + pos.data()[w + i];
+    }
+  }
+  const auto stages = mae.stage_modules();
+  for (i64 i = 0; i < e.depth; ++i) {
+    x = static_cast<nn::TransformerBlock*>(stages[static_cast<size_t>(i)])
+            ->forward(x);
+  }
+  x = mae.enc_norm.forward(x);
+  Tensor feat({b, w});
+  for (i64 bi = 0; bi < b; ++bi) {
+    std::copy_n(x.data() + bi * (n + 1) * w, w, feat.data() + bi * w);
+  }
+  return feat;
+}
 
 TEST(Finetune, WeightTransferMatchesEncodeFeatures) {
   Rng rng(1);
@@ -26,12 +60,12 @@ TEST(Finetune, WeightTransferMatchesEncodeFeatures) {
   models::ViTEncoder vit(enc_cfg(), rng2, /*num_classes=*/0);
   train::init_vit_from_mae(vit, mae);
 
-  // The headless ViT's cls feature must equal MAE::encode(..., kCls):
+  // The headless ViT's cls feature must equal the MAE encoder's:
   // identical weights, identical forward path.
   Rng drng(7);
   Tensor img = Tensor::randn({3, 3, 32, 32}, drng, 0.5f);
   Tensor from_vit = vit.forward(img);
-  Tensor from_mae = mae.encode(img, models::MAE::Pool::kCls);
+  Tensor from_mae = mae_cls_feature(mae, img);
   EXPECT_TRUE(from_vit.allclose(from_mae, 1e-5f, 1e-6f));
 }
 

@@ -543,21 +543,43 @@ TEST(KernelParity, AdamWMultiStepTrajectoriesAgree) {
 
 // ----- patchify --------------------------------------------------------------
 
+// Index-formula oracle for the MAE patch layout: pixel (ci, yy, xx) of
+// image bi lands in patch row bi*N + (yy/P)*gw + xx/P, at column
+// (ci*P + yy%P)*P + xx%P (channel-major within the patch).
+std::vector<float> patchify_oracle(i64 b, i64 c, i64 h, i64 w, i64 patch,
+                                   const std::vector<float>& images) {
+  const i64 gw = w / patch;
+  const i64 n = (h / patch) * gw;
+  const i64 pdim = patch * patch * c;
+  std::vector<float> out(images.size());
+  for (i64 bi = 0; bi < b; ++bi) {
+    for (i64 ci = 0; ci < c; ++ci) {
+      for (i64 yy = 0; yy < h; ++yy) {
+        for (i64 xx = 0; xx < w; ++xx) {
+          const i64 row = bi * n + (yy / patch) * gw + xx / patch;
+          const i64 col = (ci * patch + yy % patch) * patch + xx % patch;
+          out[static_cast<size_t>(row * pdim + col)] =
+              images[static_cast<size_t>(((bi * c + ci) * h + yy) * w + xx)];
+        }
+      }
+    }
+  }
+  return out;
+}
+
 TEST(KernelParity, PatchifyBitwiseAndRoundTrip) {
   for (i64 patch : {i64{2}, i64{5}, i64{16}}) {
     const i64 b = 2, c = 3, grid = 3;
     const i64 hw = grid * patch;
     Rng rng(static_cast<u64>(patch));
     const auto images = randv(b * c * hw * hw, rng);
-    std::vector<float> ps(
-        static_cast<size_t>(b * grid * grid * patch * patch * c));
-    std::vector<float> pv(ps.size());
-    detail::scalar_patchify(b, c, hw, hw, patch, images.data(), ps.data());
-    detail::simd_patchify(b, c, hw, hw, patch, images.data(), pv.data());
-    ASSERT_EQ(0, std::memcmp(ps.data(), pv.data(),
-                             ps.size() * sizeof(float)));
+    const auto want = patchify_oracle(b, c, hw, hw, patch, images);
+    std::vector<float> got(want.size());
+    kernels::patchify(b, c, hw, hw, patch, images.data(), got.data());
+    ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                             got.size() * sizeof(float)));
     std::vector<float> back(images.size());
-    detail::simd_unpatchify(b, c, grid, patch, pv.data(), back.data());
+    kernels::unpatchify(b, c, grid, patch, got.data(), back.data());
     ASSERT_EQ(0, std::memcmp(images.data(), back.data(),
                              back.size() * sizeof(float)));
   }
@@ -567,11 +589,10 @@ TEST(KernelParity, PatchifyNonSquareImage) {
   const i64 b = 1, c = 2, h = 6, w = 10, patch = 2;
   Rng rng(11);
   const auto images = randv(b * c * h * w, rng);
-  std::vector<float> ps(static_cast<size_t>(b * c * h * w));
-  std::vector<float> pv(ps.size());
-  detail::scalar_patchify(b, c, h, w, patch, images.data(), ps.data());
-  detail::simd_patchify(b, c, h, w, patch, images.data(), pv.data());
-  EXPECT_EQ(0, std::memcmp(ps.data(), pv.data(), ps.size() * sizeof(float)));
+  const auto want = patchify_oracle(b, c, h, w, patch, images);
+  std::vector<float> got(want.size());
+  kernels::patchify(b, c, h, w, patch, images.data(), got.data());
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), got.size() * sizeof(float)));
 }
 
 // ----- dispatch seam ---------------------------------------------------------

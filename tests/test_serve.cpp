@@ -9,7 +9,7 @@
 //   * Cache — LRU eviction, hit accounting, and the epoch tag that keeps
 //     a pre-swap embedding from being served as post-swap.
 //   * Heads — per-tenant linear-probe heads round-trip through the
-//     train::save_checkpoint format and hot-swap atomically.
+//     ckpt::save_module format and hot-swap atomically.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,7 +36,6 @@
 #include "serve/cache.hpp"
 #include "serve/heads.hpp"
 #include "serve/server.hpp"
-#include "train/checkpoint.hpp"
 
 namespace geofm {
 namespace {
@@ -81,12 +80,11 @@ Tensor scene_image(const models::MaeConfig& cfg, u64 id) {
 }
 
 // Reference embedding: a direct single-image forward through `model`.
-Tensor direct_embed(models::MAE& model, const Tensor& image,
-                    models::MAE::Pool pool = models::MAE::Pool::kGap) {
+Tensor direct_embed(models::MAE& model, const Tensor& image) {
   const auto& e = model.config().encoder;
   Tensor batch({1, e.in_channels, e.img_size, e.img_size});
   batch.copy_(image.flat_view(0, image.numel()));
-  return model.encode(batch, pool).view({e.width});
+  return model.encode(batch).view({e.width});
 }
 
 void expect_bitwise(const Tensor& got, const Tensor& want) {
@@ -315,7 +313,7 @@ TEST(ServeHeads, ProbeCheckpointRoundTripsAndHotSwaps) {
   for (i64 i = 0; i < probe.weight.numel(); ++i) {
     probe.weight.value[i] = 0.01f * static_cast<float>(i % 37);
   }
-  train::save_checkpoint(probe, path);
+  ckpt::save_module(probe, path);
 
   serve::HeadRegistry reg;
   reg.load("tenant-a", path, /*expect_width=*/kWidth);
