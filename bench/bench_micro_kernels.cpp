@@ -154,8 +154,9 @@ int main() {
   // --- fused attention + GELU at proxy_3b's shapes ------------------------
   // B*H = 64*4 = 256 slices of head_dim 8: T = 5 is the encoder's visible
   // tokens (16 patches at 75% masking + cls), T = 17 the decoder's full
-  // sequence. GELU runs on the MLP hidden [64*17, 128]; it has one
-  // implementation, so its speedup column reads ~1.
+  // sequence. GELU runs on the MLP hidden of both: [64*5, 128] and
+  // [64*17, 128]. Its backward is one multiply with one implementation,
+  // so the gelu_bwd speedup column reads ~1.
   {
     const i64 batch = 64, heads = 4, hd = 8, c = heads * hd;
     const float scale = 1.f / std::sqrt(static_cast<float>(hd));
@@ -182,22 +183,28 @@ int main() {
                                    attn.data(), dctx.data(), dqkv.data());
           }));
     }
-    const i64 rows = batch * 17, hidden = 128, n = rows * hidden;
-    Tensor pre = Tensor::randn({rows, hidden}, rng);
-    Tensor x({rows, hidden});
-    Tensor y({rows, hidden});
+    const i64 hidden = 128;
+    for (i64 t : {i64{5}, i64{17}}) {
+      const i64 rows = batch * t, n = rows * hidden;
+      Tensor pre = Tensor::randn({rows, hidden}, rng);
+      Tensor x({rows, hidden});
+      Tensor y({rows, hidden});
+      // gelu_fwd overwrites its input with the derivative: restore it per
+      // call (a copy is a few % of the SIMD pass).
+      results.push_back(ab_run("gelu_fwd", dims({rows, hidden}), 20 * n,
+                               reps * 8, [&] {
+                                 x.copy_(pre);
+                                 kernels::gelu_fwd(n, x.data(), y.data());
+                               }));
+    }
+    const i64 rows = batch * 17, n = rows * hidden;
+    Tensor d = Tensor::randn({rows, hidden}, rng);
     Tensor dy = Tensor::randn({rows, hidden}, rng);
-    // gelu_fwd overwrites its input with the derivative: restore it per
-    // call (a copy is ~1% of the tanh pass).
-    results.push_back(ab_run("gelu_fwd", dims({rows, hidden}), 20 * n, reps,
-                             [&] {
-                               x.copy_(pre);
-                               kernels::gelu_fwd(n, x.data(), y.data());
-                             }));
+    Tensor dx({rows, hidden});
     results.push_back(ab_run("gelu_bwd", dims({rows, hidden}), n, reps * 8,
                              [&] {
-                               kernels::gelu_bwd(n, dy.data(), x.data(),
-                                                 y.data());
+                               kernels::gelu_bwd(n, dy.data(), d.data(),
+                                                 dx.data());
                              }));
   }
 

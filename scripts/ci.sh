@@ -38,6 +38,15 @@ echo "== kernel engine: scalar-oracle cross-check =="
 GEOFM_KERNELS=scalar ./build/tests/geofm_tests \
     --gtest_filter='Kernel*:Ops.*:Linear.*:LayerNorm.*:Attention.*:Mlp.*:TransformerBlock.*:PatchEmbed.*:AdamW.*:Sgd.*:Lars.*:Mae.*:ViT.*'
 
+echo "== kernel engine: SIMD tanh against libm on all 2^32 inputs =="
+# The vectorized GELU is bitwise equal to the scalar oracle only while its
+# tanh reproduces the libm tanhf the build links (DESIGN §5). The parity
+# suite samples that; this disabled-by-default test checks every input
+# (~30 s on 4 cores), so a libm that computes tanhf differently is named
+# here.
+./build/tests/geofm_tests --gtest_also_run_disabled_tests \
+    --gtest_filter='*SimdTanhExhaustive'
+
 echo "== trace-span budget gate =="
 # Structural perf tripwires: comm wait, unshard, loader fetch, the exposed
 # checkpoint-snapshot cost, the elastic-recovery path (recover.*, including
@@ -118,6 +127,21 @@ cmake --build build-asan -j "$JOBS" --target geofm_tests
     --gtest_filter='Kernel*:ThreadPool.*:Attention.*:Mlp.*:TransformerBlock.*'
 GEOFM_KERNELS=scalar ./build-asan/tests/geofm_tests \
     --gtest_filter='Kernel*:Attention.*:Mlp.*:TransformerBlock.*'
+
+echo "== kernel engine: parity suite under UndefinedBehaviorSanitizer =="
+# Signed overflow, oversized shifts, misaligned or null accesses in the
+# kernels and the layers that call them, in both dispatch modes. GCC does
+# not instrument vector-extension arithmetic, so the vector tanh keeps its
+# discarded lanes in range by construction (clamped conversions, masked
+# shifts) rather than relying on this leg. Tests-only target; any report
+# aborts the run.
+cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DGEOFM_SANITIZE=undefined
+cmake --build build-ubsan -j "$JOBS" --target geofm_tests
+./build-ubsan/tests/geofm_tests \
+    --gtest_filter='Kernel*:Ops.*:Mlp.*:TransformerBlock.*'
+GEOFM_KERNELS=scalar ./build-ubsan/tests/geofm_tests \
+    --gtest_filter='Kernel*:Ops.*:Mlp.*:TransformerBlock.*'
 
 if [[ "$SKIP_TSAN" == "0" ]]; then
   echo "== tier-1: ThreadSanitizer build + ctest =="

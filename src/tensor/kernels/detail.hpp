@@ -81,8 +81,17 @@ void attention_bwd(i64 batch, i64 t, i64 heads, i64 head_dim, float scale,
                    const float* qkv, const float* attn, const float* dctx,
                    float* dqkv);
 
-void gelu_fwd(i64 n, float* x, float* y);
 void gelu_bwd(i64 n, const float* dy, const float* d, float* dx);
+
+// GELU forward (tanh approximation, constants below): the SIMD twin
+// evaluates glibc's tanhf algorithm in vector lanes, so both modes give
+// the same bits (gelu_simd.cpp).
+inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+inline constexpr float kGeluA = 0.044715f;
+void scalar_gelu_fwd(i64 n, float* x, float* y);
+void simd_gelu_fwd(i64 n, float* x, float* y);
+/// y = tanh(x) over n elements, bitwise equal to std::tanh; y may alias x.
+void simd_tanh(i64 n, const float* x, float* y);
 
 /// Lane count baked into the simd_*.cpp translation units (they may be
 /// compiled for a wider ISA than the rest of the library).

@@ -221,7 +221,11 @@ void gelu_fwd(i64 n, float* x, float* y) {
   static FamilyCounters fam("gelu");
   // Transcendentals count one flop: the cubic, tanh, output, derivative.
   KernelScope scope("kernel.gelu", fam, /*flops=*/20 * n, 4 * 3 * n);
-  detail::gelu_fwd(n, x, y);
+  if (use_simd()) {
+    detail::simd_gelu_fwd(n, x, y);
+  } else {
+    detail::scalar_gelu_fwd(n, x, y);
+  }
 }
 
 void gelu_bwd(i64 n, const float* dy, const float* d, float* dx) {

@@ -235,16 +235,12 @@ void scalar_softmax_bwd(i64 rows, i64 cols, const float* dy, const float* y,
 }
 
 // ----- GELU ------------------------------------------------------------------
-// No SIMD twin: a vectorized tanh would move the loss trajectory, so both
-// dispatch modes run these loops (compiled with the project-default flags,
-// i.e. without FMA contraction, like the rest of the seed numerics).
+// The forward is the oracle for simd_gelu_fwd, which runs glibc's tanhf
+// algorithm in vector lanes and matches these bits exactly (compiled with
+// the project-default flags, i.e. without FMA contraction, like the rest
+// of the seed numerics). The backward is one multiply: both modes run it.
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-}  // namespace
-
-void gelu_fwd(i64 n, float* x, float* y) {
+void scalar_gelu_fwd(i64 n, float* x, float* y) {
   parallel_for(n, [&](i64 i0, i64 i1) {
     for (i64 i = i0; i < i1; ++i) {
       const float v = x[i];

@@ -94,18 +94,40 @@ MeasuredOverlap measured_overlap(const OverlapConfig& cfg) {
 
 class OverlapCalibration : public ::testing::Test {
  protected:
+  static constexpr size_t kRounds = 15;
+
+  // Each config is measured once per round, rounds interleave the configs
+  // (rotating which goes first), and the ordering check reads per-config
+  // medians: host steal during one run then moves one sample of every
+  // config, not the whole measurement of one. With 5 rounds the medians
+  // still crossed the noise margin in about one run of seven.
   static void SetUpTestSuite() {
     for (size_t i = 0; i < kNumConfigs; ++i) {
       modeled_[i] = modeled_exposed_seconds(kConfigs[i]);
-      measured_[i] = measured_overlap(kConfigs[i]);
+    }
+    for (size_t round = 0; round < kRounds; ++round) {
+      for (size_t j = 0; j < kNumConfigs; ++j) {
+        const size_t i = (round + j) % kNumConfigs;
+        measured_[i][round] = measured_overlap(kConfigs[i]);
+      }
+    }
+    for (size_t i = 0; i < kNumConfigs; ++i) {
+      double v[kRounds];
+      for (size_t r = 0; r < kRounds; ++r) {
+        v[r] = measured_[i][r].exposed_seconds;
+      }
+      std::nth_element(v, v + kRounds / 2, v + kRounds);
+      median_exposed_[i] = v[kRounds / 2];
     }
   }
   static double modeled_[kNumConfigs];
-  static MeasuredOverlap measured_[kNumConfigs];
+  static MeasuredOverlap measured_[kNumConfigs][kRounds];
+  static double median_exposed_[kNumConfigs];
 };
 
 double OverlapCalibration::modeled_[kNumConfigs];
-MeasuredOverlap OverlapCalibration::measured_[kNumConfigs];
+MeasuredOverlap OverlapCalibration::measured_[kNumConfigs][kRounds];
+double OverlapCalibration::median_exposed_[kNumConfigs];
 
 // The simulator is deterministic: better prefetch must never increase
 // modeled exposed time, and everything should expose *some* comm at
@@ -132,12 +154,11 @@ TEST_F(OverlapCalibration, MeasuredOrderingAgreesWithDecisiveModeledGaps) {
         // Model says a is decisively worse than b: the runtime must not
         // measure a as decisively *better*.
         ++decisive_pairs;
-        EXPECT_LE(measured_[b].exposed_seconds,
-                  kNoiseMargin * measured_[a].exposed_seconds)
+        EXPECT_LE(median_exposed_[b], kNoiseMargin * median_exposed_[a])
             << kConfigs[a].name << " modeled " << modeled_[a] << "s vs "
             << kConfigs[b].name << " modeled " << modeled_[b]
-            << "s, but measured " << measured_[a].exposed_seconds << "s vs "
-            << measured_[b].exposed_seconds << "s";
+            << "s, but measured " << median_exposed_[a] << "s vs "
+            << median_exposed_[b] << "s (medians)";
       }
     }
   }
@@ -151,9 +172,11 @@ TEST_F(OverlapCalibration, MeasuredOrderingAgreesWithDecisiveModeledGaps) {
 TEST_F(OverlapCalibration, LimiterCapsInflightGathersInAllConfigs) {
   for (size_t i = 0; i < kNumConfigs; ++i) {
     if (!kConfigs[i].limit_all_gathers) continue;
-    EXPECT_LE(measured_[i].peak_inflight, parallel::kAllGatherInflightCap)
-        << kConfigs[i].name;
-    EXPECT_GE(measured_[i].peak_inflight, 1) << kConfigs[i].name;
+    for (const MeasuredOverlap& m : measured_[i]) {
+      EXPECT_LE(m.peak_inflight, parallel::kAllGatherInflightCap)
+          << kConfigs[i].name;
+      EXPECT_GE(m.peak_inflight, 1) << kConfigs[i].name;
+    }
   }
 }
 

@@ -9,6 +9,8 @@
 // the packed SIMD path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace geofm::kernels {
 namespace {
@@ -512,6 +515,123 @@ TEST(KernelParity, GeluSinglePassMatchesTwoPass) {
       EXPECT_TRUE(bitwise_equal(dx, want_dx)) << "dx";
     }
   }
+}
+
+float float_from_bits(u32 b) {
+  float f;
+  std::memcpy(&f, &b, sizeof(f));
+  return f;
+}
+
+u32 float_bits(float f) {
+  u32 b;
+  std::memcpy(&b, &f, sizeof(b));
+  return b;
+}
+
+// Where glibc's tanhf and its expm1f switch cases, as a tanh argument |u|:
+// tiny (2^-55), expm1's pass-through (2^-26), its reduction cases (0.5 and
+// 1.5 ln2/2), the k = -2/-3 edge (2.5 ln2/2), the 2|u| vs -2|u| split (1),
+// the k = 23 and k = 57 reconstruction edges, and saturation (22).
+std::vector<double> tanh_case_edges() {
+  const double ln2 = std::log(2.0);
+  return {std::ldexp(1.0, -55), std::ldexp(1.0, -26), 0.5 * ln2 / 2,
+          1.5 * ln2 / 2,        2.5 * ln2 / 2,        1.0,
+          22.5 * ln2 / 2,       56.5 * ln2 / 2,       22.0};
+}
+
+// +-256 ulps around +-center.
+void append_ulp_window(float center, std::vector<float>& out) {
+  const u32 mid = float_bits(std::abs(center));
+  for (u32 b = mid - 256; b <= mid + 256; ++b) {
+    out.push_back(float_from_bits(b));
+    out.push_back(-float_from_bits(b));
+  }
+}
+
+// GELU inputs that reach every tanh case edge, NaN, +-inf, +-0 and
+// subnormals, then a prime-stride sweep over all 2^32 bit patterns.
+std::vector<float> gelu_parity_inputs() {
+  constexpr double kC = 0.7978845608028654;  // sqrt(2/pi)
+  constexpr double kA = 0.044715;
+  std::vector<float> in;
+  for (double u : tanh_case_edges()) {
+    // Invert u = c*(v + a*v^3), which is increasing, by Newton's method.
+    double v = u / kC;
+    for (int i = 0; i < 100; ++i) {
+      v -= (kC * (v + kA * v * v * v) - u) / (kC * (1 + 3 * kA * v * v));
+    }
+    append_ulp_window(static_cast<float>(v), in);
+  }
+  for (u32 b : {0x00000000u, 0x00000001u, 0x00000002u, 0x00400000u,
+                0x007fffffu, 0x00800000u, 0x7f7fffffu, 0x7f800000u,
+                0x7fc00000u, 0x7fc12345u, 0x7f800001u, 0x7fa00000u}) {
+    in.push_back(float_from_bits(b));
+    in.push_back(float_from_bits(b | 0x80000000u));
+  }
+  for (u64 b = 0; b <= 0xffffffffull; b += 30011) {
+    in.push_back(float_from_bits(static_cast<u32>(b)));
+  }
+  return in;
+}
+
+TEST(KernelParity, GeluSimdMatchesScalarBitwise) {
+  std::vector<float> edges;
+  for (double u : tanh_case_edges()) {
+    append_ulp_window(static_cast<float>(u), edges);
+  }
+  std::vector<float> want(edges.size()), got(edges.size());
+  for (size_t i = 0; i < edges.size(); ++i) want[i] = std::tanh(edges[i]);
+  detail::simd_tanh(static_cast<i64>(edges.size()), edges.data(), got.data());
+  EXPECT_TRUE(bitwise_equal(got, want)) << "simd_tanh at the case edges";
+
+  const std::vector<float> in = gelu_parity_inputs();
+  const i64 total = static_cast<i64>(in.size());
+  for (i64 n : {i64{1}, i64{15}, i64{16}, i64{17}, i64{1000}, i64{139264}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    std::vector<float> d[2], y[2];
+    for (int side = 0; side < 2; ++side) {
+      ModeGuard guard(side == 0 ? Mode::kScalar : Mode::kSimd);
+      d[side] = in;
+      y[side].assign(in.size(), -1.f);
+      // Windows of n, so every input lands in bodies, tails and chunk
+      // edges of some call.
+      for (i64 i0 = 0; i0 < total; i0 += n) {
+        const i64 len = std::min(n, total - i0);
+        gelu_fwd(len, d[side].data() + i0, y[side].data() + i0);
+      }
+    }
+    EXPECT_TRUE(bitwise_equal(y[1], y[0])) << "y";
+    EXPECT_TRUE(bitwise_equal(d[1], d[0])) << "d";
+  }
+}
+
+// All 2^32 inputs (~30 s on 4 cores). A failure here means the libm the
+// build links no longer computes tanhf the way gelu_simd.cpp does.
+TEST(KernelParity, DISABLED_SimdTanhExhaustive) {
+  constexpr i64 kBlock = i64{1} << 16;
+  std::atomic<u64> mismatches{0};
+  std::atomic<u64> first_bad{~u64{0}};
+  parallel_for(i64{1} << 16, [&](i64 b0, i64 b1) {
+    std::vector<float> x(kBlock), y(kBlock);
+    for (i64 b = b0; b < b1; ++b) {
+      for (i64 i = 0; i < kBlock; ++i) {
+        x[i] = float_from_bits(static_cast<u32>(b * kBlock + i));
+      }
+      detail::simd_tanh(kBlock, x.data(), y.data());
+      for (i64 i = 0; i < kBlock; ++i) {
+        if (float_bits(y[i]) != float_bits(std::tanh(x[i]))) {
+          mismatches.fetch_add(1);
+          u64 seen = first_bad.load();
+          const u64 mine = float_bits(x[i]);
+          while (mine < seen && !first_bad.compare_exchange_weak(seen, mine)) {
+          }
+        }
+      }
+    }
+  }, 16);
+  EXPECT_EQ(mismatches.load(), 0u)
+      << "first mismatching input bits 0x" << std::hex << first_bad.load();
 }
 
 // ----- AdamW -----------------------------------------------------------------
