@@ -155,6 +155,15 @@ if [[ "$SKIP_TSAN" == "0" ]]; then
   # dispatch modes.
   ./build-tsan/tests/geofm_tests --gtest_filter='Kernel*:ThreadPool.*'
   GEOFM_KERNELS=scalar ./build-tsan/tests/geofm_tests --gtest_filter='Kernel*'
+  echo "== TSan: compute shares + loader across epoch boundaries =="
+  # Rank threads install per-rank compute shares (inline, or a private
+  # pool) and loader workers render ahead across the epoch boundary while
+  # the consumer adopts or discards; both dispatch modes, since the kernel
+  # regions the shares run differ between them.
+  ./build-tsan/tests/geofm_tests \
+      --gtest_filter='ThreadPool.*:ComputeShare.*:DataLoader*:ChaosLoader.*'
+  GEOFM_KERNELS=scalar ./build-tsan/tests/geofm_tests \
+      --gtest_filter='ThreadPool.*:ComputeShare.*:DataLoader*:ChaosLoader.*'
   echo "== TSan: fault-injected restart, extra schedules =="
   # The abort -> unwind -> async-writer-drain -> resume path is the most
   # concurrency-dense sequence in the repo; ctest above ran it once, this

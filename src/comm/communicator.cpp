@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_context.hpp"
+#include "util/thread_pool.hpp"
 
 namespace geofm::comm {
 namespace {
@@ -714,7 +715,9 @@ void run_ranks(int n_ranks, const std::function<void(Communicator&)>& fn) {
     threads.emplace_back([&, r] {
       set_thread_rank(r);
       obs::set_thread_label("rank");
-      obs::TraceScope span("rank.run", "runtime", "world", n_ranks);
+      const ComputeShare share(n_ranks);
+      obs::TraceScope span("rank.run", "runtime", "world", n_ranks, "threads",
+                           share.threads());
       Communicator comm(group, r);
       try {
         fn(comm);

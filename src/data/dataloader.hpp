@@ -2,12 +2,16 @@
 // the paper uses (4 workers per rank): worker threads render/decode
 // batches ahead of the training loop into a bounded reorder buffer, and
 // the consumer receives batches in a deterministic order regardless of
-// worker scheduling.
+// worker scheduling. The workers live as long as the loader, and the
+// prefetch window runs across the epoch boundary: once epoch e is fully
+// claimed they render the head of epoch e+1, which start_epoch(e+1)
+// adopts.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -90,10 +94,14 @@ class DataLoader {
   i64 batches_per_epoch() const;
 
   /// Begins (or restarts) an epoch: builds the index permutation from
-  /// (seed, epoch) and spins up workers. Must be called before next().
-  /// `first_batch` fast-forwards mid-epoch (checkpoint resume): batches
-  /// before it are neither rendered nor returned, and the first next()
-  /// yields batch `first_batch` exactly as an un-resumed epoch would.
+  /// (seed, epoch) and starts the workers on first use. Must be called
+  /// before next(). `first_batch` fast-forwards mid-epoch (checkpoint
+  /// resume): batches before it are neither rendered nor returned, and the
+  /// first next() yields batch `first_batch` exactly as an un-resumed
+  /// epoch would. Batches of `epoch` already rendered ahead (the head
+  /// of the epoch after the previous one) from `first_batch` on are kept;
+  /// every other rendered-but-unconsumed batch is discarded
+  /// (`loader.discarded_renders`).
   void start_epoch(i64 epoch, i64 first_batch = 0);
 
   /// Next batch of the running epoch, in order; nullopt once exhausted.
@@ -103,14 +111,33 @@ class DataLoader {
   std::vector<i64> quarantined_samples() const;
 
  private:
+  using Permutation = std::shared_ptr<const std::vector<i64>>;
+
+  /// One batch to render, named by its global ordinal (epoch *
+  /// batches_per_epoch + batch index): the key of the reorder buffer and
+  /// of the fault seam. `perm` is that epoch's permutation.
+  struct Job {
+    i64 ordinal = 0;
+    i64 epoch = 0;
+    i64 batch = 0;
+    Permutation perm;
+  };
+
+  Permutation make_permutation(i64 epoch) const;
+  /// The job for `ordinal`, which lies in the running epoch or the next.
+  /// Requires mu_ (workers) or the consumer thread with no workers.
+  Job job_for(i64 ordinal) const;
+  /// End of the claimable range: the prefetch window may cross into the
+  /// next epoch but not past it.
+  i64 claim_limit() const { return (epoch_ + 2) * n_batches_; }
   void worker_loop();
-  Batch render_batch(i64 batch_index) const;
-  Batch render_batch_traced(i64 batch_index) const;
+  void spawn_worker();  // requires mu_
+  Batch render_batch(const Job& job) const;
+  Batch render_batch_traced(const Job& job) const;
   /// render_batch_traced plus the fault seam's side effects: applies an
   /// injected poison to one sample row, then (when quarantine is on)
   /// scans rows for non-finite values, zeroing and recording offenders.
-  Batch render_faulted(i64 batch_index, bool apply_poison, u64 poison_site);
-  void stop_workers();
+  Batch render_faulted(const Job& job, bool apply_poison, u64 poison_site);
 
   const SceneDataset& dataset_;
   Split split_;
@@ -118,15 +145,17 @@ class DataLoader {
   // Rank of the thread that built the loader: workers adopt it so their
   // trace activity groups under the owning rank's timeline.
   int owner_rank_ = -1;
-
-  std::vector<i64> permutation_;
   i64 n_batches_ = 0;
-  i64 epoch_ = 0;
 
-  // Epoch state shared with workers.
+  // Loader state shared with workers. Batch positions are global
+  // ordinals, so a batch rendered ahead for the next epoch keeps its key
+  // when that epoch starts.
   std::mutex mu_;
   std::condition_variable cv_produce_;
   std::condition_variable cv_consume_;
+  i64 epoch_ = -1;         // the running epoch; -1 before start_epoch
+  Permutation perm_;       // its permutation
+  Permutation next_perm_;  // the next epoch's (workers only)
   std::map<i64, Batch> ready_;
   i64 next_to_claim_ = 0;
   i64 next_to_consume_ = 0;
@@ -135,7 +164,7 @@ class DataLoader {
 
   // Fault-seam state (all under mu_ except quarantined_, which has its
   // own lock so workers can record offenders mid-render).
-  std::deque<i64> requeued_;   // batches orphaned by a worker death
+  std::deque<i64> requeued_;   // ordinals orphaned by a worker death
   int alive_workers_ = 0;
   int respawns_used_ = 0;
   mutable std::mutex quarantine_mu_;

@@ -275,7 +275,10 @@ bool ModelServer::try_reload(bool force) {
           backoff_seconds(cfg_.breaker_backoff, /*key=*/0, breaker_attempt_);
       breaker_open_until_ = monotonic_seconds() + open_for;
       consecutive_failed_ticks_ = 0;  // the next window starts after probe
-      breaker_trips_.fetch_add(1, std::memory_order_relaxed);
+      // Degraded mode first: a reader that sees the trip (acquire in
+      // stats()) also sees the mode it set.
+      set_degraded(cache_only ? DegradedMode::kCacheOnly
+                              : DegradedMode::kBreakerOpen);
       breaker_open_.store(true, std::memory_order_relaxed);
       breaker_gauge().set(1);
       static auto& trips_m =
@@ -284,8 +287,7 @@ bool ModelServer::try_reload(bool force) {
       obs::trace_instant("serve.breaker_open", "serve");
       GEOFM_WARN("serve: reload circuit breaker open for "
                  << open_for << "s (trip " << breaker_attempt_ << ")");
-      set_degraded(cache_only ? DegradedMode::kCacheOnly
-                              : DegradedMode::kBreakerOpen);
+      breaker_trips_.fetch_add(1, std::memory_order_release);
     }
   } else if (candidates.empty() && !cache_only && cfg_.unload_on_sourceless) {
     // Every source vanished (a recall, not a torn write). Drop the
@@ -499,7 +501,7 @@ ServerStats ModelServer::stats() const {
   s.shed_shutdown = bs.shed_shutdown;
   s.shed_fair_share = bs.shed_fair_share;
   s.shed_degraded = shed_degraded_.load(std::memory_order_relaxed);
-  s.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
+  s.breaker_trips = breaker_trips_.load(std::memory_order_acquire);
   s.breaker_open = breaker_open_.load(std::memory_order_relaxed);
   s.failovers = failovers_.load(std::memory_order_relaxed);
   s.degraded = degraded_mode();

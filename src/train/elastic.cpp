@@ -17,6 +17,7 @@
 #include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/thread_context.hpp"
+#include "util/thread_pool.hpp"
 
 namespace geofm::train {
 namespace {
@@ -188,6 +189,11 @@ ElasticResult run_elastic(const ElasticConfig& cfg,
         }
       } else {
         try {
+          // The world shrinks and grows between attempts, so the kernel
+          // share is set per attempt.
+          const ComputeShare share(a->comm.size());
+          obs::TraceScope span("rank.attempt", "runtime", "world",
+                               a->comm.size(), "threads", share.threads());
           Rng rng(cfg.model_seed);
           models::MAE mae(cfg.model, rng);
           parallel::Fsdp fsdp(mae, a->comm, cfg.fsdp);

@@ -5,6 +5,18 @@
 #include <cstdlib>
 
 namespace geofm {
+namespace {
+
+// The calling thread's pool; nullptr means ThreadPool::global().
+thread_local ThreadPool* t_pool = nullptr;
+
+// Zero workers: every region runs inline on its caller, lock-free.
+ThreadPool& inline_pool() {
+  static ThreadPool pool(0);
+  return pool;
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int n_workers) {
   GEOFM_CHECK(n_workers >= 0);
@@ -33,6 +45,8 @@ void ThreadPool::run_chunks(Task& task) {
 }
 
 void ThreadPool::worker_loop() {
+  // Regions nested inside a chunk run inline on this worker.
+  t_pool = &inline_pool();
   u64 seen = 0;
   for (;;) {
     Task* task = nullptr;
@@ -69,10 +83,10 @@ void ThreadPool::parallel_for(i64 n, const std::function<void(i64, i64)>& fn,
     return;
   }
 
-  // Only one parallel region may own the pool at a time. Concurrent or
-  // nested callers (e.g. several communicator rank threads computing at
-  // once) degrade gracefully to inline execution — the ranks themselves
-  // already provide the parallelism in that case.
+  // Only one parallel region may own the pool at a time: a concurrent
+  // caller runs its whole range inline while the first one holds every
+  // worker. Rank threads avoid that race by each using its own
+  // ComputeShare instead of this pool.
   std::unique_lock<std::mutex> dispatch(dispatch_mu_, std::try_to_lock);
   if (!dispatch.owns_lock()) {
     fn(0, n);
@@ -96,13 +110,17 @@ void ThreadPool::parallel_for(i64 n, const std::function<void(i64, i64)>& fn,
   }
   cv_start_.notify_all();
 
-  // The caller participates instead of idling.
+  // The caller participates instead of idling; regions nested inside
+  // its chunks run inline, as on the workers.
   std::exception_ptr caller_error;
+  ThreadPool* const outer = t_pool;
+  t_pool = &inline_pool();
   try {
     run_chunks(task);
   } catch (...) {
     caller_error = std::current_exception();
   }
+  t_pool = outer;
 
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -113,19 +131,48 @@ void ThreadPool::parallel_for(i64 n, const std::function<void(i64, i64)>& fn,
   }
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool([] {
+int ThreadPool::hardware_participants() {
+  static const int hw = [] {
     if (const char* env = std::getenv("GEOFM_NUM_THREADS")) {
-      return std::max(0, std::atoi(env) - 1);
+      return std::max(1, std::atoi(env));
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 1 ? static_cast<int>(hw - 1) : 0;
-  }());
+    return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  }();
+  return hw;
+}
+
+ThreadPool& ThreadPool::global() {
+  static ThreadPool pool(hardware_participants() - 1);
   return pool;
 }
 
+ThreadPool& ThreadPool::current() {
+  return t_pool != nullptr ? *t_pool : global();
+}
+
+int compute_share(int world, int hw) {
+  GEOFM_CHECK(world >= 1 && hw >= 1,
+              "compute_share(world " << world << ", hw " << hw << ")");
+  return world == 1 ? hw : std::max(1, hw / world);
+}
+
+ComputeShare::ComputeShare(int world)
+    : threads_(compute_share(world, ThreadPool::hardware_participants())),
+      saved_(t_pool) {
+  if (world == 1) {
+    t_pool = nullptr;  // the global pool, as for any unranked thread
+  } else if (threads_ == 1) {
+    t_pool = &inline_pool();
+  } else {
+    own_ = std::make_unique<ThreadPool>(threads_ - 1);
+    t_pool = own_.get();
+  }
+}
+
+ComputeShare::~ComputeShare() { t_pool = saved_; }
+
 void parallel_for(i64 n, const std::function<void(i64, i64)>& fn, i64 grain) {
-  ThreadPool::global().parallel_for(n, fn, grain);
+  ThreadPool::current().parallel_for(n, fn, grain);
 }
 
 }  // namespace geofm

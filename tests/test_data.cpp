@@ -2,7 +2,12 @@
 // ordering/coverage/determinism.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "data/dataloader.hpp"
 #include "data/datasets.hpp"
@@ -330,6 +335,119 @@ TEST(DataLoader, StartEpochFastForwardReplaysExactBatches) {
     if (got->images[i] != want->images[i]) ++mismatches;
   }
   EXPECT_EQ(mismatches, 0);
+}
+
+// ----- prefetch across the epoch boundary -------------------------------------
+
+double counter(const std::string& name) {
+  return obs::MetricsRegistry::instance().counter(name).value();
+}
+
+DataLoader::Options boundary_opts(int workers) {
+  DataLoader::Options opts;
+  opts.batch_size = 8;  // 48 images: 6 batches per epoch
+  opts.n_workers = workers;
+  opts.seed = 17;
+  opts.enable_augment = true;  // the augment draw is keyed by epoch too
+  return opts;
+}
+
+std::vector<data::Batch> drain(DataLoader& loader) {
+  std::vector<data::Batch> out;
+  while (auto b = loader.next()) out.push_back(std::move(*b));
+  return out;
+}
+
+// Batches [first_batch, end) of `epoch` from a loader that never ran
+// another epoch.
+std::vector<data::Batch> fresh_epoch(const SceneDataset& ds, i64 epoch,
+                                     i64 first_batch = 0) {
+  DataLoader loader(ds, Split::kTrain, boundary_opts(0));
+  loader.start_epoch(epoch, first_batch);
+  return drain(loader);
+}
+
+void expect_same_batches(const std::vector<data::Batch>& got,
+                         const std::vector<data::Batch>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t b = 0; b < got.size(); ++b) {
+    EXPECT_EQ(got[b].index, want[b].index);
+    ASSERT_EQ(got[b].sample_indices, want[b].sample_indices) << "batch " << b;
+    ASSERT_EQ(got[b].images.numel(), want[b].images.numel());
+    EXPECT_EQ(std::memcmp(got[b].images.data(), want[b].images.data(),
+                          sizeof(float) * static_cast<size_t>(
+                                              got[b].images.numel())),
+              0)
+        << "batch " << b;
+  }
+}
+
+// Polls `loader.batches_rendered` until it reaches `target` (10 s cap).
+double await_rendered(double target) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter("loader.batches_rendered") < target &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return counter("loader.batches_rendered");
+}
+
+TEST(DataLoaderEpochBoundary, EpochsMatchFreshLoadersBitwise) {
+  auto ds = data::million_aid_pretrain(48, 16);
+  for (int workers : {1, 2}) {
+    DataLoader loader(ds, Split::kTrain, boundary_opts(workers));
+    for (i64 epoch = 0; epoch < 3; ++epoch) {
+      loader.start_epoch(epoch);
+      expect_same_batches(drain(loader), fresh_epoch(ds, epoch));
+    }
+  }
+}
+
+TEST(DataLoaderEpochBoundary, NextEpochHeadRendersBeforeItStarts) {
+  auto ds = data::million_aid_pretrain(48, 16);
+  DataLoader loader(ds, Split::kTrain, boundary_opts(1));
+  const i64 n = loader.batches_per_epoch();
+  ASSERT_EQ(n, 6);
+  const auto want = fresh_epoch(ds, 1);  // before counting renders
+  const double rendered0 = counter("loader.batches_rendered");
+  const double discarded0 = counter("loader.discarded_renders");
+  loader.start_epoch(0);
+  ASSERT_EQ(static_cast<i64>(drain(loader).size()), n);
+  // Epoch 0 is fully claimed, so the worker fills the prefetch window (4
+  // batches) with the head of epoch 1 before anyone starts it.
+  EXPECT_EQ(await_rendered(rendered0 + n + 4), rendered0 + n + 4);
+  loader.start_epoch(1);
+  expect_same_batches(drain(loader), want);
+  // The head was adopted, not rendered again: epoch 1 cost n renders in
+  // all, and the window now holds the head of epoch 2 and stays full.
+  EXPECT_EQ(await_rendered(rendered0 + 2 * n + 4), rendered0 + 2 * n + 4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(counter("loader.batches_rendered"), rendered0 + 2 * n + 4);
+  EXPECT_EQ(counter("loader.discarded_renders"), discarded0);
+}
+
+TEST(DataLoaderEpochBoundary, ResumeOrSkipDiscardsTheRenderedHead) {
+  auto ds = data::million_aid_pretrain(48, 16);
+  struct Case {
+    i64 epoch, first_batch, discarded;
+  };
+  // Resume at batch 3 of epoch 1 keeps the rendered batch 3 and discards
+  // batches 0-2; skipping to epoch 2 discards the whole head.
+  for (const Case c : {Case{1, 3, 3}, Case{2, 0, 4}}) {
+    DataLoader loader(ds, Split::kTrain, boundary_opts(1));
+    const i64 n = loader.batches_per_epoch();
+    const double rendered0 = counter("loader.batches_rendered");
+    loader.start_epoch(0);
+    ASSERT_EQ(static_cast<i64>(drain(loader).size()), n);
+    ASSERT_EQ(await_rendered(rendered0 + n + 4), rendered0 + n + 4);
+    const double discarded0 = counter("loader.discarded_renders");
+    loader.start_epoch(c.epoch, c.first_batch);
+    EXPECT_EQ(counter("loader.discarded_renders") - discarded0, c.discarded)
+        << "epoch " << c.epoch << ", first batch " << c.first_batch;
+    expect_same_batches(drain(loader),
+                        fresh_epoch(ds, c.epoch, c.first_batch));
+  }
 }
 
 }  // namespace

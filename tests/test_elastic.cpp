@@ -24,6 +24,7 @@
 #include "parallel/fsdp.hpp"
 #include "train/distributed.hpp"
 #include "train/elastic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace geofm {
 namespace {
@@ -70,12 +71,17 @@ train::ElasticConfig base_config(const std::string& ckpt_root) {
 // The supervisor's determinism claim, checked from the outside: a fresh
 // `world`-rank run resumed from `from` (no supervisor, no faults, no
 // saves) — the trajectory the post-recovery attempt must equal bitwise.
+// Its ranks run every kernel inline, so the comparison also proves the
+// attempt's compute shares (a private pool per rank at world 2 on a
+// 4-thread budget) move no bit.
 std::vector<float> fresh_resumed_losses(int world, const std::string& from,
                                         const train::ElasticConfig& ecfg,
                                         const data::SceneDataset& corpus) {
   std::vector<float> losses;
   std::mutex mu;
   run_ranks(world, [&](Communicator& c) {
+    // A world past the thread budget: a share of 1, inline.
+    const ComputeShare inline_kernels(ThreadPool::hardware_participants() + 1);
     Rng rng(ecfg.model_seed);
     models::MAE mae(ecfg.model, rng);
     Fsdp fsdp(mae, c, ecfg.fsdp);

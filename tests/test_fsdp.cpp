@@ -4,13 +4,16 @@
 // Also verifies the communication schedules per strategy/prefetch mode.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <optional>
 
 #include "comm/communicator.hpp"
 #include "models/mae.hpp"
 #include "optim/optimizer.hpp"
 #include "parallel/ddp.hpp"
 #include "parallel/fsdp.hpp"
+#include "util/thread_pool.hpp"
 
 namespace geofm {
 namespace {
@@ -64,16 +67,20 @@ std::vector<float> reference_params_after_training(i64 global_batch,
 }
 
 // Distributed run: k ranks, each training its slice under `opts`.
-// Returns rank 0's final full parameter vector.
+// Returns rank 0's final full parameter vector. `share_world` > 0 gives
+// each rank the compute share of that world size instead of its own.
 std::vector<float> fsdp_params_after_training(int n_ranks, i64 global_batch,
                                               int steps,
-                                              const FsdpOptions& opts) {
+                                              const FsdpOptions& opts,
+                                              int share_world = 0) {
   GEOFM_CHECK(global_batch % n_ranks == 0);
   const i64 local = global_batch / n_ranks;
   std::vector<float> rank0_params;
   std::mutex mu;
 
   run_ranks(n_ranks, [&](Communicator& c) {
+    std::optional<ComputeShare> share;
+    if (share_world > 0) share.emplace(share_world);
     Rng rng(42);  // identical init on every rank (broadcast double-checks)
     models::MAE mae(test_mae_cfg(), rng);
     Fsdp fsdp(mae, c, opts);
@@ -145,6 +152,16 @@ TEST_P(FsdpEquivalence, MatchesSingleRankTraining) {
   const auto got = fsdp_params_after_training(4, 8, 3, opts);
   // fp32 collectives reorder float sums; tolerance covers 3 AdamW steps.
   expect_params_close(got, ref, 2e-4f);
+  // The ranks' compute shares move no bit: at a batch whose GEMMs and
+  // attention fan out, world 4 on its own shares (inline on a 4-thread
+  // budget) trains bitwise the parameters it trains with every rank on
+  // the global pool, the layout before shares.
+  const auto own = fsdp_params_after_training(4, 32, 3, opts);
+  const auto pooled = fsdp_params_after_training(4, 32, 3, opts,
+                                                 /*share_world=*/1);
+  ASSERT_EQ(own.size(), pooled.size());
+  EXPECT_EQ(std::memcmp(own.data(), pooled.data(), sizeof(float) * own.size()),
+            0);
 }
 
 TEST(FsdpEquivalence, PrefetchModesAreNumericallyIdentical) {

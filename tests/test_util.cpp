@@ -3,13 +3,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "comm/communicator.hpp"
+#include "obs/trace.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -182,6 +186,145 @@ TEST(ThreadPool, GrainZeroKeepsLegacySmallRangeInline) {
 TEST(ThreadPool, GrainRejectsNegative) {
   ThreadPool pool(1);
   EXPECT_THROW(pool.parallel_for(10, [&](i64, i64) {}, /*grain=*/-1), Error);
+}
+
+// ----- compute shares: rank threads own disjoint slices of the cores --------
+
+TEST(ComputeShare, ShareTableOverWorldAndHardware) {
+  struct Case {
+    int world, hw, share;
+  };
+  const Case cases[] = {
+      {1, 4, 4},  {2, 4, 2},  {3, 4, 1},   {4, 4, 1},  {8, 4, 1},
+      {1, 1, 1},  {2, 1, 1},  {4, 1, 1},   {2, 8, 4},  {3, 8, 2},
+      {5, 16, 3}, {16, 16, 1}, {1, 16, 16}, {64, 16, 1}};
+  for (const Case& c : cases) {
+    EXPECT_EQ(compute_share(c.world, c.hw), c.share)
+        << "world " << c.world << ", hw " << c.hw;
+  }
+  EXPECT_THROW(compute_share(0, 4), Error);
+  EXPECT_THROW(compute_share(2, 0), Error);
+}
+
+// Thread ids seen by one parallel region. With `want_threads` > 1 the
+// first chunk of each thread waits (up to 10 s) until that many distinct
+// threads have joined, so a pool that can fan out provably does.
+std::set<std::thread::id> region_threads(int want_threads) {
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  parallel_for(
+      1 << 16,
+      [&](i64, i64) {
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          seen.insert(std::this_thread::get_id());
+        }
+        while (std::chrono::steady_clock::now() < deadline) {
+          {
+            std::lock_guard<std::mutex> lk(mu);
+            if (static_cast<int>(seen.size()) >= want_threads) break;
+          }
+          std::this_thread::yield();
+        }
+      },
+      /*grain=*/1);
+  return seen;
+}
+
+TEST(ComputeShare, FullWorldRunsEveryRegionOnTheRankThread) {
+  // A world that fills the cores (run_ranks(4) on a 4-thread budget)
+  // gives every rank a share of 1: regions run inline, and no pool
+  // thread exists for the rank.
+  const int world = std::max(4, ThreadPool::hardware_participants());
+  ASSERT_EQ(compute_share(world, ThreadPool::hardware_participants()), 1);
+  std::atomic<int> off_thread{0};
+  comm::run_ranks(world, [&](comm::Communicator&) {
+    EXPECT_EQ(ThreadPool::current().n_workers(), 0);
+    for (int rep = 0; rep < 8; ++rep) {
+      const auto seen = region_threads(1);
+      if (seen != std::set<std::thread::id>{std::this_thread::get_id()}) {
+        ++off_thread;
+      }
+    }
+  });
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ComputeShare, TwoRanksGetDisjointPrivateShares) {
+  const int share = compute_share(2, ThreadPool::hardware_participants());
+  std::mutex mu;
+  std::vector<std::set<std::thread::id>> per_rank(2);
+  comm::run_ranks(2, [&](comm::Communicator& c) {
+    EXPECT_EQ(ThreadPool::current().n_workers(), share - 1);
+    EXPECT_NE(&ThreadPool::current(), &ThreadPool::global());
+    std::set<std::thread::id> mine;
+    for (int rep = 0; rep < 4; ++rep) {
+      const auto seen = region_threads(share);
+      mine.insert(seen.begin(), seen.end());
+    }
+    std::lock_guard<std::mutex> lk(mu);
+    per_rank[static_cast<size_t>(c.rank())] = mine;
+  });
+  for (const auto& threads : per_rank) {
+    EXPECT_LE(static_cast<int>(threads.size()), share);
+    EXPECT_GE(threads.size(), 1u);
+  }
+  for (const auto& id : per_rank[0]) {
+    EXPECT_EQ(per_rank[1].count(id), 0u) << "a thread served both ranks";
+  }
+}
+
+TEST(ComputeShare, WorldOneFansOutToTheGlobalPool) {
+  if (ThreadPool::global().n_workers() == 0) {
+    GTEST_SKIP() << "single-thread budget: the global pool has no workers";
+  }
+  comm::run_ranks(1, [&](comm::Communicator&) {
+    EXPECT_EQ(&ThreadPool::current(), &ThreadPool::global());
+    EXPECT_GE(region_threads(2).size(), 2u);
+  });
+}
+
+TEST(ComputeShare, ScopeRestoresThePreviousPoolAndNestedRegionsRunInline) {
+  {
+    const ComputeShare share(1 << 20);  // any world past the core count
+    EXPECT_EQ(share.threads(), 1);
+    EXPECT_EQ(ThreadPool::current().n_workers(), 0);
+  }
+  EXPECT_EQ(&ThreadPool::current(), &ThreadPool::global());
+  // A region nested inside a chunk runs on that chunk's thread.
+  std::atomic<int> nested_off_thread{0};
+  parallel_for(
+      4096,
+      [&](i64, i64) {
+        const auto outer = std::this_thread::get_id();
+        parallel_for(
+            4096,
+            [&](i64, i64) {
+              if (std::this_thread::get_id() != outer) ++nested_off_thread;
+            },
+            /*grain=*/1);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(nested_off_thread.load(), 0);
+}
+
+TEST(ComputeShare, RankSpanRecordsTheShare) {
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.enable();
+  recorder.clear();
+  comm::run_ranks(2, [](comm::Communicator&) {});
+  int spans = 0;
+  for (const auto& e : recorder.snapshot()) {
+    if (e.name == nullptr || std::string(e.name) != "rank.run") continue;
+    ++spans;
+    ASSERT_NE(e.arg2_name, nullptr);
+    EXPECT_EQ(std::string(e.arg2_name), "threads");
+    EXPECT_EQ(e.arg2, compute_share(2, ThreadPool::hardware_participants()));
+  }
+  recorder.disable();
+  EXPECT_EQ(spans, 2);
 }
 
 TEST(Check, ThrowsGeofmError) {
