@@ -1,14 +1,17 @@
 // Interleaved scalar-vs-SIMD A/B microbenchmark of the kernel engine
 // (tensor/kernels/): GEMM variants, layernorm and softmax forward +
 // backward, the fused attention core and GELU at the proxy model's
-// shapes, and the AdamW update.
+// shapes, and the AdamW update. A second table times the SIMD GEMM at
+// every shape a proxy_3b step runs on one participant against the
+// global pool, and the cost of an empty parallel region.
 //
 // Methodology: for each case the two modes alternate round-robin
 // (scalar, simd, scalar, simd, ...) so frequency drift, cache state, and
 // background load hit both sides equally; each round times `reps`
 // back-to-back calls after one warmup call, and the reported number is
-// the best round per mode. Speedup = best scalar / best simd. Results go
-// to stdout as a table and to <cache>/BENCH_kernels.json.
+// the best round per mode. Speedup = best scalar / best simd (second
+// table: best one-participant / best hw-participant). Results go to
+// stdout as tables and to <cache>/BENCH_kernels.json.
 //
 // GEOFM_BENCH_QUICK=1 shrinks sizes and rounds for smoke runs.
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -25,6 +29,7 @@
 #include "tensor/ops.hpp"
 #include "util/table.hpp"
 #include "util/thread_context.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace geofm;
 
@@ -42,30 +47,77 @@ struct CaseResult {
 
 int rounds() { return bench::quick_mode() ? 2 : 5; }
 
-// Best-of-rounds, modes interleaved within every round.
-CaseResult ab_run(const std::string& name, const std::string& shape,
-                  i64 flops, int reps, const std::function<void()>& fn) {
-  CaseResult res{name, shape, flops,
-                 std::numeric_limits<double>::infinity(),
-                 std::numeric_limits<double>::infinity()};
+// Best-of-rounds seconds per call of `fn` on two sides (0 and 1),
+// interleaved within every round; `on_side(side, timed)` runs `timed`
+// under that side's setting.
+std::pair<double, double> interleaved(
+    int reps, const std::function<void()>& fn,
+    const std::function<void(int, const std::function<void()>&)>& on_side) {
+  double best[2] = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
   const int n_rounds = rounds();
   for (int round = 0; round < n_rounds; ++round) {
-    for (int side = 0; side < 2; ++side) {
-      // Alternate which mode leads each round.
-      const bool scalar_now = ((round + side) % 2) == 0;
-      kernels::ModeGuard guard(scalar_now ? kernels::Mode::kScalar
-                                          : kernels::Mode::kSimd);
-      fn();  // warmup: page in, populate caches under this mode
-      const u64 t0 = monotonic_ns();
-      for (int i = 0; i < reps; ++i) fn();
-      const double per_call =
-          static_cast<double>(monotonic_ns() - t0) * 1e-9 / reps;
-      double& best = scalar_now ? res.scalar_s : res.simd_s;
-      best = std::min(best, per_call);
+    for (int turn = 0; turn < 2; ++turn) {
+      // Alternate which side leads each round.
+      const int side = (round + turn) % 2;
+      on_side(side, [&] {
+        fn();  // warmup: page in, populate caches under this side
+        const u64 t0 = monotonic_ns();
+        for (int i = 0; i < reps; ++i) fn();
+        best[side] = std::min(
+            best[side], static_cast<double>(monotonic_ns() - t0) * 1e-9 / reps);
+      });
     }
   }
-  return res;
+  return {best[0], best[1]};
 }
+
+// Scalar (side 0) against SIMD (side 1).
+CaseResult ab_run(const std::string& name, const std::string& shape,
+                  i64 flops, int reps, const std::function<void()>& fn) {
+  const auto [scalar_s, simd_s] =
+      interleaved(reps, fn, [](int side, const std::function<void()>& timed) {
+        kernels::ModeGuard guard(side == 0 ? kernels::Mode::kScalar
+                                           : kernels::Mode::kSimd);
+        timed();
+      });
+  return {name, shape, flops, scalar_s, simd_s};
+}
+
+// One participant (side 0) against the global pool's hw participants
+// (side 1), both in the default kernel mode.
+std::pair<double, double> participants_run(int reps,
+                                           const std::function<void()>& fn) {
+  ThreadPool one(0);
+  return interleaved(reps, fn,
+                     [&](int side, const std::function<void()>& timed) {
+                       const ScopedPool scope(side == 0 ? one
+                                                        : ThreadPool::global());
+                       timed();
+                     });
+}
+
+// A GEMM of one proxy_3b step at batch 64: the logical (m, k, n) and the
+// layout of its call (NT forward, NN input gradient, TN weight gradient).
+struct StepGemm {
+  const char* layout;
+  i64 m, k, n;
+};
+
+// The non-tiny GEMMs of a proxy_3b MAE step at batch 64 (encoder rows
+// 320, patch-embed rows 1024, decoder rows 1088): 30 call kinds over 24
+// distinct (m, k, n).
+const StepGemm kStepGemms[] = {
+    {"nt", 1024, 192, 32}, {"nn", 1024, 32, 192}, {"nt", 1088, 128, 32},
+    {"nn", 1088, 128, 32}, {"nn", 1088, 192, 32}, {"nt", 1088, 32, 128},
+    {"nn", 1088, 32, 128}, {"nt", 1088, 32, 192}, {"nt", 1088, 32, 32},
+    {"nn", 1088, 32, 32},  {"nt", 1088, 32, 96},  {"nn", 1088, 96, 32},
+    {"tn", 128, 1088, 32}, {"tn", 128, 320, 32},  {"tn", 192, 1088, 32},
+    {"tn", 32, 1024, 192}, {"tn", 32, 1088, 128}, {"tn", 32, 1088, 32},
+    {"tn", 32, 320, 128},  {"tn", 32, 320, 32},   {"nt", 320, 128, 32},
+    {"nn", 320, 128, 32},  {"nt", 320, 32, 128},  {"nn", 320, 32, 128},
+    {"nt", 320, 32, 32},   {"nn", 320, 32, 32},   {"nt", 320, 32, 96},
+    {"nn", 320, 96, 32},   {"tn", 96, 1088, 32},  {"tn", 96, 320, 32}};
 
 std::string dims(std::initializer_list<i64> d) {
   std::string s;
@@ -225,6 +277,55 @@ int main() {
     }));
   }
 
+  // --- GEMM at proxy_3b's step shapes: 1 against hw participants ---------
+  // The per-kernel A/B of the intra-op split: the same SIMD GEMM on one
+  // participant and on the global pool. Bits are equal on both sides
+  // (KernelParity.GemmBitwiseAcrossParticipants*).
+  TextTable scaling({"gemm", "m x k x n", "1_thread_gfs",
+                    "hw_gfs", "speedup"});
+  std::string scaling_json;
+  const int hw = ThreadPool::hardware_participants();
+  for (const StepGemm& g : kStepGemms) {
+    const std::string layout = g.layout;
+    // Operands stored as the step stores them: A [m, k] (TN: [k, m]),
+    // B [k, n] (NT: [n, k]).
+    Tensor a = layout == "tn" ? Tensor::randn({g.k, g.m}, rng)
+                              : Tensor::randn({g.m, g.k}, rng);
+    Tensor b = layout == "nt" ? Tensor::randn({g.n, g.k}, rng)
+                              : Tensor::randn({g.k, g.n}, rng);
+    const auto call = [&] {
+      if (layout == "nn") ops::matmul(a, b);
+      if (layout == "nt") ops::matmul_nt(a, b);
+      if (layout == "tn") ops::matmul_tn(a, b);
+    };
+    const double flops = 2.0 * static_cast<double>(g.m * g.k * g.n);
+    const auto [one_s, hw_s] = participants_run(reps * 8, call);
+    const std::string shape = dims({g.m, g.k, g.n});
+    scaling.add_row({layout, shape, fmt_f(flops / one_s * 1e-9, 2),
+                    fmt_f(flops / hw_s * 1e-9, 2), fmt_f(one_s / hw_s, 2)});
+    scaling_json += std::string(scaling_json.empty() ? "" : ",\n") +
+                   "  {\"kernel\": \"gemm_" + layout + "_participants\", " +
+                   "\"shape\": \"" + shape + "\", \"one_ms\": " +
+                   fmt_f(one_s * 1e3, 4) + ", \"hw_ms\": " +
+                   fmt_f(hw_s * 1e3, 4) + ", \"hw\": " + std::to_string(hw) +
+                   ", \"flops\": " + fmt_f(flops, 0) + "}";
+  }
+
+  // --- empty-region fork-join -----------------------------------------------
+  // One chunk per participant and no work: what a region costs on its own.
+  const int fj_reps = quick ? 2000 : 20000;
+  const auto [fj_one_s, fj_hw_s] = participants_run(fj_reps, [&] {
+    parallel_for(hw, [](i64, i64) {}, /*grain=*/1);
+  });
+  std::printf("%s", scaling.to_string().c_str());
+  std::printf("empty-region fork-join: %.2f us on %d participants "
+              "(%.3f us inline)\n",
+              fj_hw_s * 1e6, hw, fj_one_s * 1e6);
+  scaling_json += ",\n  {\"kernel\": \"fork_join\", \"shape\": \"empty\", "
+                 "\"one_ms\": " + fmt_f(fj_one_s * 1e3, 6) +
+                 ", \"hw_ms\": " + fmt_f(fj_hw_s * 1e3, 6) +
+                 ", \"hw\": " + std::to_string(hw) + "}";
+
   // --- report --------------------------------------------------------------
   TextTable table({"kernel", "shape", "scalar_ms", "simd_ms", "scalar_gfs",
                    "simd_gfs", "speedup"});
@@ -241,9 +342,9 @@ int main() {
             ", \"simd_ms\": " + fmt_f(r.simd_s * 1e3, 4) +
             ", \"flops\": " + std::to_string(r.flops) +
             ", \"speedup\": " + fmt_f(r.speedup(), 3) + "}";
-    json += (i + 1 < results.size()) ? ",\n" : "\n";
+    json += ",\n";
   }
-  json += "]\n";
+  json += scaling_json + "\n]\n";
   std::printf("%s", table.to_string().c_str());
   bench::save_csv(table, "BENCH_kernels");
   const std::string json_path = bench::cache_dir() + "/BENCH_kernels.json";

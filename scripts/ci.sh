@@ -164,6 +164,15 @@ if [[ "$SKIP_TSAN" == "0" ]]; then
       --gtest_filter='ThreadPool.*:ComputeShare.*:DataLoader*:ChaosLoader.*'
   GEOFM_KERNELS=scalar ./build-tsan/tests/geofm_tests \
       --gtest_filter='ThreadPool.*:ComputeShare.*:DataLoader*:ChaosLoader.*'
+  echo "== TSan: spin-then-park pool wake + tiled GEMM regions, extra schedules =="
+  # Workers and callers spin before they park, late workers must never
+  # touch a finished region's task, and one GEMM region hands its tiles
+  # to 1-4 participants; repeated in both modes for schedule diversity
+  # (the GEMM parity runs the SIMD path directly in either mode).
+  ./build-tsan/tests/geofm_tests --gtest_repeat=3 \
+      --gtest_filter='ThreadPoolStress.*:KernelParity.GemmBitwiseAcrossParticipants*'
+  GEOFM_KERNELS=scalar ./build-tsan/tests/geofm_tests --gtest_repeat=3 \
+      --gtest_filter='ThreadPoolStress.*:KernelParity.GemmBitwiseAcrossParticipants*'
   echo "== TSan: fault-injected restart, extra schedules =="
   # The abort -> unwind -> async-writer-drain -> resume path is the most
   # concurrency-dense sequence in the repo; ctest above ran it once, this

@@ -365,21 +365,25 @@ void CollectiveHandle::wait(CommStats* stats) {
     return;
   }
 
-  // Category "comm.exposed" marks spans whose summed duration per rank is,
-  // by construction, the same quantity CommStats::exposed_wait_seconds
-  // accumulates (waits called without stats are plain "comm" spans and
-  // belong to no one's overlap accounting).
-  obs::TraceScope span(wait_name(op_->kind),
-                       stats != nullptr ? "comm.exposed" : "comm", "bytes",
-                       count_ * static_cast<i64>(sizeof(float)));
-  const auto t0 = std::chrono::steady_clock::now();
+  // Category "comm.exposed" marks spans whose summed duration per rank is
+  // the same quantity CommStats::exposed_wait_seconds accumulates (waits
+  // called without stats are plain "comm" spans and belong to no one's
+  // overlap accounting). The span wraps exactly the [t0, t1] clock reads,
+  // so a preemption in the accounting below lands in neither sum.
+  std::chrono::steady_clock::time_point t0, t1;
   bool was_complete;
   {
-    std::unique_lock<std::mutex> lk(op_->mu);
-    was_complete = op_->complete;
-    op_->cv.wait(lk, [&] { return op_->complete; });
+    obs::TraceScope span(wait_name(op_->kind),
+                         stats != nullptr ? "comm.exposed" : "comm", "bytes",
+                         count_ * static_cast<i64>(sizeof(float)));
+    t0 = std::chrono::steady_clock::now();
+    {
+      std::unique_lock<std::mutex> lk(op_->mu);
+      was_complete = op_->complete;
+      op_->cv.wait(lk, [&] { return op_->complete; });
+    }
+    t1 = std::chrono::steady_clock::now();
   }
-  const auto t1 = std::chrono::steady_clock::now();
   const double blocked = std::chrono::duration<double>(t1 - t0).count();
   if (stats != nullptr) {
     ++stats->waits;
@@ -725,6 +729,8 @@ void run_ranks(int n_ranks, const std::function<void(Communicator&)>& fn) {
         std::lock_guard<std::mutex> lk(err_mu);
         if (!first_error) first_error = std::current_exception();
       }
+      // A step loop inside fn narrows the share by its loader workers.
+      span.set_arg2(share.threads());
     });
   }
   for (auto& t : threads) t.join();

@@ -365,8 +365,10 @@ std::shared_ptr<detail::CommGroup> make_group(int n_ranks);
 
 /// Launches `n_ranks` threads, each running fn(comm) with a communicator
 /// over all ranks and its ComputeShare of the kernel threads installed,
-/// and joins them. The first exception (if any) is rethrown on the caller
-/// after all threads complete.
+/// and joins them. Each rank's `rank.run` span records the share its
+/// regions ran with as `threads` (narrower when a step loop in fn gave
+/// cores to its loader workers). The first exception (if any) is rethrown
+/// on the caller after all threads complete.
 void run_ranks(int n_ranks, const std::function<void(Communicator&)>& fn);
 
 }  // namespace geofm::comm

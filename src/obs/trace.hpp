@@ -184,6 +184,10 @@ class TraceScope {
     if (name_ != nullptr) end();
   }
 
+  /// Replaces the second argument's value, for a value known only when
+  /// the span closes.
+  void set_arg2(i64 arg2) { arg2_ = arg2; }
+
  private:
   void begin(const char* name, const char* cat) {
     name_ = name;

@@ -1,22 +1,34 @@
 // SIMD GEMM: register-tiled, cache-blocked, packed-panel — the classic
 // GotoBLAS/BLIS decomposition scaled down to this repo's needs.
 //
-//   for jc over N in NC panels            (Bp panel lives in L2)
-//     for pc over K in KC panels
-//       pack B[pc:pc+KC, jc:jc+NC] -> Bp  (NR-wide slivers, zero-padded)
-//       parallel over M in MC blocks      (grain hint = one block)
-//         pack A[ic:ic+MC, pc:pc+KC] -> Ap (MR-tall slivers)
-//         for each NR sliver of Bp        (sliver stays in L1)
-//           for each MR sliver of Ap
-//             microkernel: MR x NR register tile of C += Ap * Bp
+//   one parallel region over tm x tn tiles of C (whole MR rows, NR cols)
+//     per tile [m0,m1) x [n0,n1):
+//       for jc over the tile's N in NC panels  (Bp panel lives in L2)
+//         for pc over K in KC panels, ascending
+//           pack B[pc:pc+KC, jc:jc+NC] -> Bp   (NR-wide slivers, zero-padded)
+//           for ic over the tile's M in MC blocks
+//             pack A[ic:ic+MC, pc:pc+KC] -> Ap (MR-tall slivers)
+//             for each NR sliver of Bp         (sliver stays in L1)
+//               for each MR sliver of Ap
+//                 microkernel: MR x NR register tile of C += Ap * Bp
+//
+// The grid (plan_grid) has at most two tiles per participant of the
+// calling thread's pool, each of at least kMinJobFlops, and is the one
+// with the least estimated makespan, repacking included: a tall
+// activation GEMM (m = 1088, n = 32) splits over M, a small-M
+// weight-gradient GEMM (m = 32, k = 1088, n = 128) over M and N. One tile, or a thread with
+// no pool to share (share 1, or a region nested in another), runs the
+// whole slice as one tile on the caller: the serial loop.
 //
 // The microkernel holds an MR x (2 vectors) accumulator block in
 // registers and broadcasts A; edge tiles route through a small stack
 // buffer so the hot path never masks. Strides on A and B are arbitrary
 // (packing is where strided/transposed inputs get linearized), so one
-// core serves NN/NT/TN and padded sub-views. C accumulates across KC
-// panels in a fixed order — results are deterministic and independent of
-// the thread count.
+// core serves NN/NT/TN and padded sub-views. Every tile adds the KC
+// panels into C in ascending order, so each output element is the same
+// sum in the same order whatever the grid: results are deterministic and
+// bitwise independent of the participant count. The pack buffers are
+// thread-local and sized to the largest panel the thread has packed.
 //
 // This TU is compiled with -march=native (when available) so the vector
 // type in simd.hpp maps to the widest ISA on the build machine; tiny
@@ -41,6 +53,17 @@ constexpr i64 NR = 2 * kLanes;    // microkernel cols (2 vector registers)
 constexpr i64 KC = 192;           // k panel: Bp sliver = KC*NR floats in L1
 constexpr i64 MC = 96;            // m block: Ap block = MC*KC floats in L2
 constexpr i64 NC = 2048;          // n panel: Bp panel = KC*NC floats in L2
+
+// Most tiles per participant of one GEMM region. plan_grid takes a
+// second round of tiles only where it shortens the estimated makespan.
+constexpr i64 kJobsPerParticipant = 2;
+// Least work per tile (flops). Below it the fork-join and the repacking
+// a split costs outweigh the tile's compute, and the one-image encodes
+// of serving stay on the caller.
+constexpr i64 kMinJobFlops = i64{1} << 20;
+// Multiply-adds one packed float costs, for weighing a grid's repacking
+// against its balance.
+constexpr i64 kPackCost = 8;
 
 // Packs kc x nc of B (element stride brs/bcs) into NR-wide slivers,
 // zero-padding the last sliver: dst[sliver][p][0..NR).
@@ -113,48 +136,121 @@ void micro(const float* ap, const float* bp, i64 kc, float* c, i64 ldc,
   }
 }
 
-// One batch slice. `parallel` toggles row-parallelism (off when the
-// caller already parallelized over the batch dimension).
-void gemm_slice(const float* a, i64 ars, i64 acs, const float* b, i64 brs,
-                i64 bcs, float* c, i64 ldc, i64 m, i64 k, i64 n,
-                bool parallel) {
-  for (i64 i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.f);
-  if (k <= 0) return;
+// One batch slice: C[m x n] = A[m x k] * B[k x n] at arbitrary strides.
+struct Slice {
+  const float* a;
+  i64 ars, acs;
+  const float* b;
+  i64 brs, bcs;
+  float* c;
+  i64 ldc;
+  i64 m, k, n;
+};
 
-  thread_local std::vector<float> bpack;
-  bpack.resize(static_cast<size_t>(KC * NC));
+i64 ceil_div(i64 a, i64 b) { return (a + b - 1) / b; }
 
-  for (i64 jc = 0; jc < n; jc += NC) {
-    const i64 nc = std::min<i64>(NC, n - jc);
-    for (i64 pc = 0; pc < k; pc += KC) {
-      const i64 kc = std::min<i64>(KC, k - pc);
-      pack_b(b + pc * brs + jc * bcs, brs, bcs, kc, nc, bpack.data());
-      const float* bp = bpack.data();
+// Grows a thread-local pack buffer to `floats`; never shrinks it, so a
+// thread keeps the largest panel it has packed, not the KC x NC bound.
+float* pack_buffer(std::vector<float>& buf, i64 floats) {
+  if (static_cast<i64>(buf.size()) < floats) {
+    buf.resize(static_cast<size_t>(floats));
+  }
+  return buf.data();
+}
 
-      auto rows = [&](i64 r0, i64 r1) {
-        thread_local std::vector<float> apack;
-        apack.resize(static_cast<size_t>(MC * KC));
-        for (i64 ic = r0; ic < r1; ic += MC) {
-          const i64 mc = std::min<i64>(MC, r1 - ic);
-          pack_a(a + ic * ars + pc * acs, ars, acs, mc, kc, apack.data());
-          for (i64 jr = 0; jr < nc; jr += NR) {
-            const i64 nr = std::min<i64>(NR, nc - jr);
-            const float* bsliver = bp + (jr / NR) * kc * NR;
-            for (i64 ir = 0; ir < mc; ir += MR) {
-              const i64 mr = std::min<i64>(MR, mc - ir);
-              micro(apack.data() + (ir / MR) * kc * MR, bsliver, kc,
-                    c + (ic + ir) * ldc + jc + jr, ldc, mr, nr);
-            }
+// Rows [m0, m1) x cols [n0, n1) of C, through every KC panel in ascending
+// order: each output element sums the same panels in the same order
+// whatever the tile, so tiling never moves a bit.
+void gemm_tile(const Slice& s, i64 m0, i64 m1, i64 n0, i64 n1) {
+  for (i64 i = m0; i < m1; ++i) {
+    std::fill(s.c + i * s.ldc + n0, s.c + i * s.ldc + n1, 0.f);
+  }
+  if (s.k <= 0) return;
+
+  const i64 kc_max = std::min(KC, s.k);
+  thread_local std::vector<float> bpack, apack;
+  float* const bp = pack_buffer(
+      bpack, kc_max * ceil_div(std::min(NC, n1 - n0), NR) * NR);
+  float* const ap = pack_buffer(
+      apack, ceil_div(std::min(MC, m1 - m0), MR) * MR * kc_max);
+
+  for (i64 jc = n0; jc < n1; jc += NC) {
+    const i64 nc = std::min(NC, n1 - jc);
+    for (i64 pc = 0; pc < s.k; pc += KC) {
+      const i64 kc = std::min(KC, s.k - pc);
+      pack_b(s.b + pc * s.brs + jc * s.bcs, s.brs, s.bcs, kc, nc, bp);
+      for (i64 ic = m0; ic < m1; ic += MC) {
+        const i64 mc = std::min(MC, m1 - ic);
+        pack_a(s.a + ic * s.ars + pc * s.acs, s.ars, s.acs, mc, kc, ap);
+        for (i64 jr = 0; jr < nc; jr += NR) {
+          const i64 nr = std::min(NR, nc - jr);
+          const float* bsliver = bp + (jr / NR) * kc * NR;
+          for (i64 ir = 0; ir < mc; ir += MR) {
+            const i64 mr = std::min(MR, mc - ir);
+            micro(ap + (ir / MR) * kc * MR, bsliver, kc,
+                  s.c + (ic + ir) * s.ldc + jc + jr, s.ldc, mr, nr);
           }
         }
-      };
-      if (parallel) {
-        parallel_for(m, rows, MC);
-      } else {
-        rows(0, m);
       }
     }
   }
+}
+
+// A split of the slice into tm x tn tiles of whole MR rows and NR columns.
+struct Grid {
+  i64 tm = 1, tn = 1;
+};
+
+// At most kJobsPerParticipant tiles per participant and none under
+// kMinJobFlops; among those grids, the one with the least estimated
+// makespan: rounds of tiles (tiles / participants, rounded up) times the
+// largest tile's multiply-adds per k, its packing included (each row of
+// tiles packs all of B, each column all of A).
+Grid plan_grid(i64 m, i64 k, i64 n, int participants) {
+  const i64 want =
+      std::min(kJobsPerParticipant * participants,
+               std::max<i64>(1, 2 * m * k * n / kMinJobFlops));
+  const i64 m_slivers = ceil_div(m, MR), n_slivers = ceil_div(n, NR);
+  Grid best;
+  i64 best_cost = m * n + kPackCost * (m + n);
+  for (i64 tm = 1; tm <= std::min(want, m_slivers); ++tm) {
+    for (i64 tn = 1; tn <= std::min(want / tm, n_slivers); ++tn) {
+      const i64 rows = std::min(m, ceil_div(m_slivers, tm) * MR);
+      const i64 cols = std::min(n, ceil_div(n_slivers, tn) * NR);
+      const i64 cost = ceil_div(tm * tn, participants) *
+                       (rows * cols + kPackCost * (rows + cols));
+      if (cost < best_cost) {
+        best = {tm, tn};
+        best_cost = cost;
+      }
+    }
+  }
+  return best;
+}
+
+// One parallel region over the slice's tiles, or the serial loop when the
+// slice makes one tile or the calling thread has no one to share it with.
+void gemm_slice(const Slice& s) {
+  const int participants = ThreadPool::current().n_workers() + 1;
+  const Grid g = participants > 1 ? plan_grid(s.m, s.k, s.n, participants)
+                                  : Grid{};
+  if (g.tm * g.tn == 1) {
+    gemm_tile(s, 0, s.m, 0, s.n);
+    return;
+  }
+  const i64 m_slivers = ceil_div(s.m, MR), n_slivers = ceil_div(s.n, NR);
+  parallel_for(
+      g.tm * g.tn,
+      [&](i64 j0, i64 j1) {
+        for (i64 j = j0; j < j1; ++j) {
+          const i64 im = j / g.tn, in = j % g.tn;
+          gemm_tile(s, std::min(s.m, im * m_slivers / g.tm * MR),
+                    std::min(s.m, (im + 1) * m_slivers / g.tm * MR),
+                    std::min(s.n, in * n_slivers / g.tn * NR),
+                    std::min(s.n, (in + 1) * n_slivers / g.tn * NR));
+        }
+      },
+      /*grain=*/1);
 }
 
 }  // namespace
@@ -167,15 +263,16 @@ void simd_gemm(i64 batch, i64 m, i64 k, i64 n,
                float* c, i64 c_batch, i64 ldc) {
   if (batch <= 0 || m <= 0 || n <= 0) return;
   if (batch == 1) {
-    gemm_slice(a, ars, acs, b, brs, bcs, c, ldc, m, k, n, /*parallel=*/true);
+    gemm_slice({a, ars, acs, b, brs, bcs, c, ldc, m, k, n});
     return;
   }
   parallel_for(
       batch,
       [&](i64 b0, i64 b1) {
         for (i64 i = b0; i < b1; ++i) {
-          gemm_slice(a + i * a_batch, ars, acs, b + i * b_batch, brs, bcs,
-                     c + i * c_batch, ldc, m, k, n, /*parallel=*/false);
+          gemm_tile({a + i * a_batch, ars, acs, b + i * b_batch, brs, bcs,
+                     c + i * c_batch, ldc, m, k, n},
+                    0, m, 0, n);
         }
       },
       /*grain=*/1);

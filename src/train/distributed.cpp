@@ -16,6 +16,7 @@
 #include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/thread_context.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace geofm::train {
@@ -62,6 +63,11 @@ DistributedPretrainResult pretrain_mae_distributed(
     wopts.deadline_seconds = cfg.watchdog_deadline_seconds;
     comm.start_watchdog(wopts);
   }
+
+  // The loader workers render on cores of their own: the rank's kernels
+  // run on what is left of its share (inside an elastic attempt, which
+  // installed the same share, this keeps the attempt's pool).
+  const ComputeShare share(comm.size(), cfg.loader_workers);
 
   // Every rank shares one global batch stream (same seed, same shuffle)
   // and its loader renders only this rank's contiguous slice of it —

@@ -190,8 +190,9 @@ ElasticResult run_elastic(const ElasticConfig& cfg,
       } else {
         try {
           // The world shrinks and grows between attempts, so the kernel
-          // share is set per attempt.
-          const ComputeShare share(a->comm.size());
+          // share is set per attempt; the step loop's loader workers
+          // leave it.
+          const ComputeShare share(a->comm.size(), a->train.loader_workers);
           obs::TraceScope span("rank.attempt", "runtime", "world",
                                a->comm.size(), "threads", share.threads());
           Rng rng(cfg.model_seed);

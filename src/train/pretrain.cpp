@@ -4,6 +4,7 @@
 #include "obs/trace.hpp"
 #include "optim/optimizer.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace geofm::train {
@@ -18,6 +19,8 @@ PretrainResult pretrain_mae(models::MAE& mae, const data::SceneDataset& corpus,
   GEOFM_CHECK(cfg.epochs > 0 && cfg.batch_size > 0);
   Timer timer;
 
+  // The loader workers render on cores of their own, not the kernels'.
+  const ComputeShare share(1, cfg.loader_workers);
   data::DataLoader::Options lopts;
   lopts.batch_size = cfg.batch_size;
   lopts.n_workers = cfg.loader_workers;

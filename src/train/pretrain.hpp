@@ -16,7 +16,9 @@ struct PretrainConfig {
   i64 batch_size = 64;
   double base_lr = 1.5e-4;     // paper value (per 256 effective batch)
   double weight_decay = 0.05;  // paper value
-  int loader_workers = 4;      // paper uses 4 per rank
+  // The paper runs 4 per rank on a 7-core GCD slice. Each worker here
+  // leaves the kernels' compute share, and one keeps up with a proxy step.
+  int loader_workers = 1;
   u64 seed = 0;
   bool verbose = false;
 };

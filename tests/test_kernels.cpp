@@ -195,6 +195,107 @@ TEST(KernelParity, GemmDeterministicAcrossRepeats) {
   EXPECT_EQ(0, std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)));
 }
 
+// One GEMM problem at arbitrary strides; `a_rows`/`b_rows` x `*_ld` are
+// the stored extents, so strided and transposed views fit.
+struct GemmCase {
+  i64 m, k, n;
+  i64 ars, acs, brs, bcs, ldc;
+  i64 a_floats, b_floats;
+};
+
+GemmCase nn_case(i64 m, i64 k, i64 n) {
+  return {m, k, n, k, 1, n, 1, n, m * k, k * n};
+}
+GemmCase nt_case(i64 m, i64 k, i64 n) {  // B stored [n, k]
+  return {m, k, n, k, 1, 1, k, n, m * k, n * k};
+}
+GemmCase tn_case(i64 m, i64 k, i64 n) {  // A stored [k, m]
+  return {m, k, n, 1, m, n, 1, n, k * m, k * n};
+}
+
+// The non-tiny GEMMs of one proxy_3b MAE step at batch 64 (encoder rows
+// 320 = 64 x 5 visible tokens, patch-embed rows 1024, decoder rows 1088):
+// forward NT, input-gradient NN, and weight-gradient TN, as (m, k, n) of
+// the logical product.
+std::vector<GemmCase> proxy_3b_step_gemms() {
+  return {nt_case(1024, 192, 32),  nn_case(1024, 32, 192),
+          nt_case(1088, 128, 32),  nn_case(1088, 128, 32),
+          nn_case(1088, 192, 32),  nt_case(1088, 32, 128),
+          nn_case(1088, 32, 128),  nt_case(1088, 32, 192),
+          nt_case(1088, 32, 32),   nn_case(1088, 32, 32),
+          nt_case(1088, 32, 96),   nn_case(1088, 96, 32),
+          tn_case(128, 1088, 32),  tn_case(128, 320, 32),
+          tn_case(192, 1088, 32),  tn_case(32, 1024, 192),
+          tn_case(32, 1088, 128),  tn_case(32, 1088, 32),
+          tn_case(32, 320, 128),   tn_case(32, 320, 32),
+          nt_case(320, 128, 32),   nn_case(320, 128, 32),
+          nt_case(320, 32, 128),   nn_case(320, 32, 128),
+          nt_case(320, 32, 32),    nn_case(320, 32, 32),
+          nt_case(320, 32, 96),    nn_case(320, 96, 32),
+          tn_case(96, 1088, 32),   tn_case(96, 320, 32)};
+}
+
+// Output of simd_gemm on `participants` participants (a private pool of
+// participants - 1 workers), C pre-filled with a canary.
+std::vector<float> gemm_on(const GemmCase& g, const std::vector<float>& a,
+                           const std::vector<float>& b, int participants) {
+  ThreadPool pool(participants - 1);
+  const ScopedPool scope(pool);
+  std::vector<float> c(static_cast<size_t>(g.m * g.ldc), 7.5f);
+  detail::simd_gemm(1, g.m, g.k, g.n, a.data(), 0, g.ars, g.acs, b.data(), 0,
+                    g.brs, g.bcs, c.data(), 0, g.ldc);
+  return c;
+}
+
+void expect_bitwise_across_participants(const GemmCase& g) {
+  Rng rng(static_cast<u64>(g.m * 7919 + g.k * 104729 + g.n * 31 + g.acs));
+  const auto a = randv(g.a_floats, rng);
+  const auto b = randv(g.b_floats, rng);
+  const auto c1 = gemm_on(g, a, b, 1);
+  for (int p = 2; p <= 4; ++p) {
+    const auto cp = gemm_on(g, a, b, p);
+    ASSERT_EQ(0, std::memcmp(c1.data(), cp.data(), c1.size() * sizeof(float)))
+        << g.m << "x" << g.k << "x" << g.n << " (ars " << g.ars << ", acs "
+        << g.acs << ", brs " << g.brs << ", bcs " << g.bcs << ", ldc "
+        << g.ldc << ") at " << p << " participants";
+  }
+}
+
+TEST(KernelParity, GemmBitwiseAcrossParticipantsProxyShapes) {
+  for (const GemmCase& g : proxy_3b_step_gemms()) {
+    expect_bitwise_across_participants(g);
+  }
+}
+
+TEST(KernelParity, GemmBitwiseAcrossParticipantsEdgeShapes) {
+  const i64 nr = 2 * simd_lanes();
+  // m % MR != 0, n % NR != 0, k past KC (192) and not a multiple of it.
+  for (i64 m : {i64{37}, i64{97}, i64{301}}) {
+    for (i64 n : {nr + 3, 3 * nr - 5, i64{130}}) {
+      for (i64 k : {i64{385}, i64{1001}}) {
+        expect_bitwise_across_participants(nn_case(m, k, n));
+        expect_bitwise_across_participants(tn_case(m, k, n));
+        expect_bitwise_across_participants(nt_case(m, k, n));
+      }
+    }
+  }
+  // Strided sub-views: padded lda/ldb/ldc, and C's padding stays put.
+  GemmCase g = nn_case(203, 450, 77);
+  g.ars = 450 + 5;
+  g.brs = 77 + 3;
+  g.ldc = 77 + 9;
+  g.a_floats = 203 * g.ars;
+  g.b_floats = 450 * g.brs;
+  expect_bitwise_across_participants(g);
+  Rng rng(5);
+  const auto c = gemm_on(g, randv(g.a_floats, rng), randv(g.b_floats, rng), 4);
+  for (i64 i = 0; i < g.m; ++i) {
+    for (i64 j = g.n; j < g.ldc; ++j) {
+      ASSERT_EQ(c[static_cast<size_t>(i * g.ldc + j)], 7.5f);
+    }
+  }
+}
+
 // ----- layernorm -------------------------------------------------------------
 
 TEST(KernelParity, LayernormForwardTailShapes) {

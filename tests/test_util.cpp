@@ -5,15 +5,22 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "comm/fault.hpp"
+#include "data/datasets.hpp"
+#include "models/mae.hpp"
 #include "obs/trace.hpp"
+#include "parallel/fsdp.hpp"
+#include "train/distributed.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -206,6 +213,95 @@ TEST(ComputeShare, ShareTableOverWorldAndHardware) {
   EXPECT_THROW(compute_share(2, 0), Error);
 }
 
+TEST(ComputeShare, LoaderWorkersLeaveTheShare) {
+  struct Case {
+    int world, hw, workers, share;
+  };
+  const Case cases[] = {
+      {1, 4, 0, 4},  {1, 4, 1, 3},  {1, 4, 2, 2}, {1, 4, 3, 1},
+      {1, 4, 4, 1},  {1, 4, 9, 1},  {1, 1, 1, 1}, {1, 16, 4, 12},
+      {2, 4, 1, 1},  {2, 8, 1, 3},  {2, 8, 4, 1}, {3, 8, 1, 1},
+      {4, 4, 1, 1},  {2, 16, 2, 6}};
+  for (const Case& c : cases) {
+    EXPECT_EQ(compute_share(c.world, c.hw, c.workers), c.share)
+        << "world " << c.world << ", hw " << c.hw << ", workers "
+        << c.workers;
+  }
+  // No loader workers: the world-only table, unchanged.
+  for (int world : {2, 3, 4, 8}) {
+    for (int hw : {1, 4, 8, 16}) {
+      EXPECT_EQ(compute_share(world, hw, 0), compute_share(world, hw));
+      EXPECT_EQ(compute_share(world, hw, 0), std::max(1, hw / world));
+    }
+  }
+  EXPECT_THROW(compute_share(1, 4, -1), Error);
+}
+
+TEST(ComputeShare, NestedShareOfTheSameSizeKeepsTheEnclosingPool) {
+  const int hw = ThreadPool::hardware_participants();
+  if (hw < 4) GTEST_SKIP() << "needs a share of 2 below the hardware budget";
+  // world = hw / 2 gives a share of 2: a private pool of one worker.
+  const ComputeShare outer(hw / 2);
+  ASSERT_EQ(outer.threads(), 2);
+  ThreadPool* const pool = &ThreadPool::current();
+  EXPECT_EQ(pool->n_workers(), 1);
+  {
+    const ComputeShare inner(hw / 2);
+    EXPECT_EQ(&ThreadPool::current(), pool);
+  }
+  {
+    const ComputeShare inner(hw / 2, /*loader_workers=*/1);
+    EXPECT_EQ(inner.threads(), 1);
+    EXPECT_EQ(ThreadPool::current().n_workers(), 0);
+  }
+  EXPECT_EQ(&ThreadPool::current(), pool);
+  EXPECT_EQ(outer.threads(), 1);  // the fewest its regions ran with
+}
+
+TEST(ComputeShare, WorldOneLoaderWorkerRunsStepsOnTheRest) {
+  // A world-1 step loop with one loader worker runs its kernels on
+  // hw - 1 participants, and the rank.run span says so.
+  const int hw = ThreadPool::hardware_participants();
+  const int want = compute_share(1, hw, 1);
+  ASSERT_EQ(want, std::max(1, hw - 1));
+  models::ViTConfig enc{.name = "t", .width = 16, .depth = 1, .mlp_dim = 32,
+                        .heads = 2, .img_size = 16, .patch_size = 4,
+                        .in_channels = 3};
+  const auto corpus = data::million_aid_pretrain(32, 16);
+  train::DistributedPretrainConfig cfg;
+  cfg.steps = 3;
+  cfg.global_batch = 8;
+  cfg.seed = 5;
+  cfg.loader_workers = 1;
+  auto participants = std::make_shared<std::vector<int>>();
+  comm::FaultPlan plan;
+  plan.events.push_back(comm::FaultEvent::callback_every_step(
+      [participants](comm::Communicator&, i64) {
+        participants->push_back(ThreadPool::current().n_workers() + 1);
+      }));
+  cfg.fault_injector = std::make_shared<comm::FaultInjector>(plan);
+
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.enable();
+  recorder.clear();
+  comm::run_ranks(1, [&](comm::Communicator& c) {
+    Rng rng(1);
+    models::MAE mae(models::mae_for(enc), rng);
+    parallel::Fsdp fsdp(mae, c, {});
+    train::pretrain_mae_distributed(mae, fsdp, c, corpus, cfg);
+  });
+  int spans = 0;
+  for (const auto& e : recorder.snapshot()) {
+    if (e.name == nullptr || std::string(e.name) != "rank.run") continue;
+    ++spans;
+    EXPECT_EQ(e.arg2, want);
+  }
+  recorder.disable();
+  EXPECT_EQ(spans, 1);
+  ASSERT_EQ(participants->size(), 3u);
+  for (int p : *participants) EXPECT_EQ(p, want);
+}
+
 // Thread ids seen by one parallel region. With `want_threads` > 1 the
 // first chunk of each thread waits (up to 10 s) until that many distinct
 // threads have joined, so a pool that can fan out provably does.
@@ -264,8 +360,14 @@ TEST(ComputeShare, TwoRanksGetDisjointPrivateShares) {
       const auto seen = region_threads(share);
       mine.insert(seen.begin(), seen.end());
     }
-    std::lock_guard<std::mutex> lk(mu);
-    per_rank[static_cast<size_t>(c.rank())] = mine;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      per_rank[static_cast<size_t>(c.rank())] = mine;
+    }
+    // Both private pools stay alive until both ranks have recorded: a
+    // pool joined early frees its workers' thread ids for reuse by the
+    // other rank's pool, which would read as a shared thread.
+    c.barrier();
   });
   for (const auto& threads : per_rank) {
     EXPECT_LE(static_cast<int>(threads.size()), share);
@@ -325,6 +427,98 @@ TEST(ComputeShare, RankSpanRecordsTheShare) {
   }
   recorder.disable();
   EXPECT_EQ(spans, 2);
+}
+
+// ----- pool stress: wakeups are never lost, tasks never outlive regions ---
+
+// Regions separated by gaps below, around and above the spin bound, so
+// both the spinning and the parked wake and join paths run.
+TEST(ThreadPoolStress, BackToBackTinyRegionsWithGaps) {
+  ThreadPool pool(3);
+  Rng rng(17);
+  for (int rep = 0; rep < 3000; ++rep) {
+    const i64 n = 2 + rng.uniform_int(6);
+    std::vector<int> hits(static_cast<size_t>(n), 0);
+    pool.parallel_for(
+        n,
+        [&](i64 b, i64 e) {
+          for (i64 i = b; i < e; ++i) ++hits[static_cast<size_t>(i)];
+        },
+        /*grain=*/1);
+    for (int h : hits) ASSERT_EQ(h, 1) << "rep " << rep;
+    if (rep % 97 == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    } else if (rep % 13 == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(60));
+    }
+  }
+}
+
+TEST(ThreadPoolStress, ChunksOfRandomLength) {
+  ThreadPool pool(3);
+  for (int rep = 0; rep < 200; ++rep) {
+    const i64 n = 64;
+    std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+    pool.parallel_for(
+        n,
+        [&](i64 b, i64 e) {
+          for (i64 i = b; i < e; ++i) {
+            // Busy for 0-40 µs, picked per index and repetition.
+            const auto until =
+                std::chrono::steady_clock::now() +
+                std::chrono::microseconds((i * 7919 + rep * 104729) % 41);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+            hits[static_cast<size_t>(i)].fetch_add(1);
+          }
+        },
+        /*grain=*/1);
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "rep " << rep;
+  }
+}
+
+TEST(ThreadPoolStress, NestedRegionsAndErrorsLeaveThePoolUsable) {
+  ThreadPool pool(3);
+  const ScopedPool scope(pool);
+  for (int rep = 0; rep < 300; ++rep) {
+    std::atomic<i64> total{0};
+    parallel_for(
+        8,
+        [&](i64 b, i64 e) {
+          for (i64 i = b; i < e; ++i) {
+            parallel_for(
+                16, [&](i64 b2, i64 e2) { total.fetch_add(e2 - b2); },
+                /*grain=*/1);
+          }
+        },
+        /*grain=*/1);
+    ASSERT_EQ(total.load(), 8 * 16);
+    if (rep % 50 == 0) {
+      EXPECT_THROW(parallel_for(
+                       8,
+                       [&](i64 b, i64) {
+                         if (b == 5) throw std::runtime_error("chunk 5");
+                       },
+                       /*grain=*/1),
+                   std::runtime_error);
+    }
+  }
+}
+
+TEST(ThreadPoolStress, PoolDestroyedRightAfterARegion) {
+  for (int rep = 0; rep < 200; ++rep) {
+    std::atomic<i64> total{0};
+    {
+      ThreadPool pool(1 + rep % 3);
+      pool.parallel_for(
+          4, [&](i64 b, i64 e) { total.fetch_add(e - b); }, /*grain=*/1);
+      if (rep % 2 == 1) {
+        // Let the workers park before the pool goes.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+    ASSERT_EQ(total.load(), 4);
+  }
 }
 
 TEST(Check, ThrowsGeofmError) {
